@@ -59,6 +59,13 @@ struct EngineProfile {
   std::vector<Tick> latencies;  // pooled across trials and nodes
   ooc::Summary batchSize;
   ooc::Summary blackout;  // faulted pass: max commit gap (ticks)
+
+  /// Messages sent by correct nodes per committed command (fault-free pass).
+  double msgsPerCmd() const {
+    return committedCmds == 0 ? 0.0
+                              : static_cast<double>(messages) /
+                                    static_cast<double>(committedCmds);
+  }
 };
 
 ooc::svc::SvcConfig baseConfig(const EngineSpec& spec, bool quick) {
@@ -238,17 +245,15 @@ int main(int argc, char** argv) {
     ooc::obs::metrics().setGauge("svc_blackout_ticks",
                                  profile.blackout.mean(),
                                  {{"engine", spec.label}});
+    ooc::obs::metrics().setGauge("svc_msgs_per_command",
+                                 profile.msgsPerCmd(),
+                                 {{"engine", spec.label}});
   }
 
   Table table({"engine", "cmds", "cmds/ktick", "p50(ticks)", "p99(ticks)",
                "batch", "msgs/cmd", "noop%", "blackout(ticks)"});
   for (std::size_t e = 0; e < specs.size(); ++e) {
     EngineProfile& p = profiles[e];
-    const double msgsPerCmd =
-        p.committedCmds == 0
-            ? 0.0
-            : static_cast<double>(p.messages) /
-                  static_cast<double>(p.committedCmds);
     const double noopPct =
         p.decrees + p.noopDecrees == 0
             ? 0.0
@@ -258,7 +263,7 @@ int main(int argc, char** argv) {
                   Table::cell(p.cmdsPerKtick.mean()),
                   Table::cell(percentileTicks(p.latencies, 0.50)),
                   Table::cell(percentileTicks(p.latencies, 0.99)),
-                  Table::cell(p.batchSize.mean()), Table::cell(msgsPerCmd),
+                  Table::cell(p.batchSize.mean()), Table::cell(p.msgsPerCmd()),
                   Table::cell(noopPct, 1), Table::cell(p.blackout.mean())});
   }
   std::printf("%s\n", table.render().c_str());
@@ -326,11 +331,7 @@ int main(int argc, char** argv) {
       w.key("p50_decide_ticks").value(percentileTicks(p.latencies, 0.50));
       w.key("p99_decide_ticks").value(percentileTicks(p.latencies, 0.99));
       w.key("mean_batch_size").value(p.batchSize.mean());
-      w.key("msgs_per_cmd").value(
-          p.committedCmds == 0
-              ? 0.0
-              : static_cast<double>(p.messages) /
-                    static_cast<double>(p.committedCmds));
+      w.key("msgs_per_cmd").value(p.msgsPerCmd());
       w.key("blackout_ticks").value(p.blackout.mean());
       w.endObject();
     }

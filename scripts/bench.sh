@@ -188,7 +188,8 @@ fi
 #             aggregate events/sec and scaling efficiency per thread count
 #   fd        mean rounds-to-decide per oracle-consuming pairing
 #   recovery  mean ticks-to-decide under the crash/restart mixes
-#   svc       committed commands per kilotick per service engine (E21)
+#   svc       committed commands per kilotick per service engine (E21),
+#             plus messages per committed command (lower is better)
 #   roundless mean rounds-to-decide per valid E24 (engine, policy) cell
 if [ "$JSON" = 1 ]; then
   COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)

@@ -9,7 +9,7 @@ the metric regressed >10% against the previous entry of the same mode
 
 Usage: trajectory.py RUN_JSON TRAJ_JSON COMMIT QUICK MODE
 
-MODE picks the metric(s) and their polarity:
+MODE picks the metric(s) and each one's polarity:
   simcore   events/sec gauges per scenario        (higher is better)
             plus E23 aggregate_events_per_sec per thread count (higher is
             better) and scaling_efficiency per thread count (recorded,
@@ -18,6 +18,7 @@ MODE picks the metric(s) and their polarity:
   fd        mean rounds_to_decide per pairing     (lower is better)
   recovery  mean ticks_to_decide per label set    (lower is better)
   svc       committed cmds/ktick per engine (E21) (higher is better)
+            plus msgs_per_cmd per engine          (lower is better)
   roundless mean rounds per valid E24 cell        (lower is better)
 """
 import json
@@ -38,26 +39,30 @@ def gauge_series(metrics, name, label):
 
 
 def extract(run, mode):
-    """Return [(field, values, regression_checked), ...] for MODE."""
+    """Return [(field, values, regression_checked, higher_is_better), ...]
+    for MODE."""
     metrics = run.get("metrics", {})
     if mode == "simcore":
         return [
             ("events_per_sec",
              gauge_series(metrics, "simcore_events_per_sec", "scenario"),
-             True),
+             True, True),
             ("aggregate_events_per_sec",
              gauge_series(metrics, "simcore_aggregate_events_per_sec",
                           "threads"),
-             True),
+             True, True),
             ("scaling_efficiency",
              gauge_series(metrics, "simcore_scaling_efficiency", "threads"),
-             False),
+             False, True),
         ]
     if mode == "svc":
         return [("committed_cmds_per_ktick",
                  gauge_series(metrics, "svc_mean_commands_per_ktick",
                               "engine"),
-                 True)]
+                 True, True),
+                ("msgs_per_cmd",
+                 gauge_series(metrics, "svc_msgs_per_command", "engine"),
+                 True, False)]
     if mode == "roundless":
         # ooc.roundless.v1 is a matrix document, not an ooc.bench.v1 run:
         # the headline series is mean rounds-to-decide per valid decided
@@ -67,20 +72,19 @@ def extract(run, mode):
                 round(c["mean_rounds"], 2)
             for c in run.get("cells", [])
             if c.get("valid") and c.get("decided")
-        }, True)]
+        }, True, False)]
     name = "rounds_to_decide" if mode == "fd" else "ticks_to_decide"
     return [(f"mean_{name}", {
         label_key(h.get("labels", {})): round(h["sum"] / h["count"], 2)
         for h in metrics.get("histograms", [])
         if h.get("name") == name and h.get("count")
-    }, True)]
+    }, True, False)]
 
 
 def main():
     run_path, traj_path, commit, quick, mode = (sys.argv + [""] * 6)[1:6]
     if mode not in ("simcore", "fd", "recovery", "svc", "roundless"):
         sys.exit(f"trajectory.py: unknown mode '{mode}'")
-    higher_is_better = mode in ("simcore", "svc")
 
     run = json.load(open(run_path))
     fields = extract(run, mode)
@@ -89,7 +93,7 @@ def main():
         "commit": commit,
         "quick": bool(quick),
     }
-    for field, values, _ in fields:
+    for field, values, _, _ in fields:
         if values:
             entry[field] = values
     try:
@@ -101,7 +105,7 @@ def main():
                      if e.get("quick") == entry["quick"]), None)
     regressed = []
     if previous:
-        for field, values, checked in fields:
+        for field, values, checked, higher_is_better in fields:
             if not checked:
                 continue
             for key, now in values.items():

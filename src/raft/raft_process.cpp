@@ -37,6 +37,7 @@ void RaftProcess::onStart() {
   votesGranted_.assign(ctx().processCount(), false);
   nextIndex_.assign(ctx().processCount(), 1);
   matchIndex_.assign(ctx().processCount(), 0);
+  sentIndex_.assign(ctx().processCount(), 0);
   resetElectionTimer();
 }
 
@@ -58,6 +59,7 @@ void RaftProcess::onRestart() {
   votesGranted_.assign(ctx().processCount(), false);
   nextIndex_.assign(ctx().processCount(), 1);
   matchIndex_.assign(ctx().processCount(), 0);
+  sentIndex_.assign(ctx().processCount(), 0);
   // The simulator already purged this node's timers at the crash.
   electionTimer_ = 0;
   heartbeatTimer_ = 0;
@@ -247,6 +249,7 @@ void RaftProcess::becomeLeader() {
   stopElectionTimer();
   std::fill(nextIndex_.begin(), nextIndex_.end(), lastLogIndex() + 1);
   std::fill(matchIndex_.begin(), matchIndex_.end(), LogIndex{0});
+  std::fill(sentIndex_.begin(), sentIndex_.end(), lastLogIndex());
   matchIndex_[ctx().self()] = lastLogIndex();
   if (lastLogIndex() > commitIndex_) {
     // Uncommitted (prior-term) tail: append the subclass's no-op barrier so
@@ -267,10 +270,15 @@ void RaftProcess::becomeLeader() {
 
 // --- client ------------------------------------------------------------------
 
-bool RaftProcess::submit(Value command) {
+bool RaftProcess::submit(Value command) { return submitAll({&command, 1}); }
+
+bool RaftProcess::submitAll(std::span<const Value> commands) {
   if (role_ != Role::kLeader) return false;
-  log_.push_back(LogEntry{currentTerm_, command});
-  persistEntry(log_.back());
+  if (commands.empty()) return true;
+  for (const Value command : commands) {
+    log_.push_back(LogEntry{currentTerm_, command});
+    persistEntry(log_.back());
+  }
   matchIndex_[ctx().self()] = lastLogIndex();
   advanceCommitIndex();  // single-node clusters commit immediately
   broadcastAppends();
@@ -284,6 +292,7 @@ void RaftProcess::sendAppendTo(ProcessId peer) {
   if (next <= snapshotIndex_) {
     // The entries this follower needs were compacted away: ship the state
     // machine as of lastApplied (>= snapshotIndex) instead.
+    sentIndex_[peer] = std::max(sentIndex_[peer], lastApplied_);
     ctx().send(peer, std::make_unique<InstallSnapshot>(
                          currentTerm_, ctx().self(), lastApplied_,
                          termAt(lastApplied_), captureSnapshot()));
@@ -295,6 +304,7 @@ void RaftProcess::sendAppendTo(ProcessId peer) {
   const LogIndex last = std::min<LogIndex>(
       lastLogIndex(), prevIndex + config_.maxEntriesPerAppend);
   for (LogIndex i = next; i <= last; ++i) entries.push_back(entryAt(i));
+  sentIndex_[peer] = std::max(sentIndex_[peer], last);
   ctx().send(peer, std::make_unique<AppendEntries>(
                        currentTerm_, ctx().self(), prevIndex, prevTerm,
                        std::move(entries), commitIndex_));
@@ -481,16 +491,21 @@ void RaftProcess::handleAppendEntriesReply(ProcessId from,
 
   if (!msg.success) {
     // Backtrack and retry with an earlier prefix (Figure 2's NextIndex
-    // decrement loop).
+    // decrement loop). Whatever was in flight beyond the new prefix is
+    // forgotten, so the success reply to this retry keeps pushing until
+    // the follower has caught up.
     if (nextIndex_[from] > 1) --nextIndex_[from];
+    sentIndex_[from] = nextIndex_[from] - 1;
     sendAppendTo(from);
     return;
   }
   matchIndex_[from] = std::max(matchIndex_[from], msg.matchIndex);
   nextIndex_[from] = matchIndex_[from] + 1;
   advanceCommitIndex();
-  // Keep pushing if the follower still trails.
-  if (nextIndex_[from] <= lastLogIndex()) sendAppendTo(from);
+  // Push only entries this follower has never been sent; the ones still in
+  // flight are acknowledged by their own replies (and a lost one is
+  // re-shipped by the next heartbeat).
+  if (sentIndex_[from] < lastLogIndex()) sendAppendTo(from);
 }
 
 void RaftProcess::handleInstallSnapshot(ProcessId from,

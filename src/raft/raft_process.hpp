@@ -15,11 +15,22 @@
 // with the sync-before-reply discipline: the node journals
 // currentTerm/votedFor/log to a simulated write-ahead log (store/wal.hpp)
 // and recovers from it in onRestart().
+//
+// Replication flow control: the leader remembers, per follower, the
+// highest index it has shipped in this term (sentIndex). A success reply
+// pushes again only when the log holds entries beyond sentIndex, so
+// entries already in flight are never re-sent on every acknowledgement; a
+// failure reply rewinds sentIndex to the retried prefix, so a follower
+// trailing by more than maxEntriesPerAppend keeps catching up reply by
+// reply. Heartbeat, commit-advance and election broadcasts still ship from
+// nextIndex: they are the loss-recovery path for an append (or its reply)
+// that never arrived.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "raft/messages.hpp"
@@ -36,6 +47,9 @@ class RaftProcess : public Process {
   // --- client API ----------------------------------------------------------
   /// Appends a command if this node currently leads; returns whether it did.
   bool submit(Value command);
+  /// Appends a batch of commands if this node currently leads, then
+  /// replicates once (one AppendEntries per follower for the whole batch).
+  bool submitAll(std::span<const Value> commands);
 
   // --- inspection ----------------------------------------------------------
   Role role() const noexcept { return role_; }
@@ -203,6 +217,8 @@ class RaftProcess : public Process {
   // Leader state (reinitialized on every election win).
   std::vector<LogIndex> nextIndex_;
   std::vector<LogIndex> matchIndex_;
+  /// Highest index shipped to each follower this term (flow control).
+  std::vector<LogIndex> sentIndex_;
 
   TimerId electionTimer_ = 0;
   TimerId heartbeatTimer_ = 0;

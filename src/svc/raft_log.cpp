@@ -14,8 +14,11 @@ RaftLogNode::RaftLogNode(RaftLogOptions options,
       workloadOptions_(workload),
       workloadN_(n),
       workloadSeed_(seed),
-      workload_(workload, /*node=*/0, n, seed),
-      resubmitEvery_(std::max<Tick>(1, options.resubmitEvery)) {}
+      resubmitEvery_(std::max<Tick>(1, options.resubmitEvery)) {
+  // The workload is homed at self(), known only once bound: onStart builds
+  // it. Reject bad options here, where the node is constructed.
+  Workload::validate(workload, n);
+}
 
 Value RaftLogNode::mintCommand() {
   ++cmdSeq_;
@@ -29,6 +32,7 @@ Value RaftLogNode::mintCommand() {
 void RaftLogNode::onStart() {
   workload_ = Workload(workloadOptions_, ctx().self(), workloadN_,
                        workloadSeed_);
+  booted_ = true;
   raft::RaftProcess::onStart();
   armArrivalTimer();
   resubmitTimer_ = ctx().setTimer(resubmitEvery_);
@@ -55,6 +59,7 @@ void RaftLogNode::onVolatileReset() {
 }
 
 void RaftLogNode::onRestart() {
+  booted_ = true;
   replaying_ = true;
   raft::RaftProcess::onRestart();
   replaying_ = false;
@@ -94,18 +99,29 @@ void RaftLogNode::handleArrivals() {
 
 void RaftLogNode::offerCommands(const std::vector<Value>& commands) {
   if (role() != raft::Role::kLeader) return;
-  // Dedup against the applied prefix and the retained log suffix (the
-  // compacted prefix is applied by definition). Failover retries can still
-  // slip a duplicate past this — a prior leader's append may be committed
-  // but not yet visible here — which is exactly what the apply-level dedup
-  // is for.
-  std::unordered_set<Value> inLog;
-  for (const raft::LogEntry& entry : log()) inLog.insert(entry.command);
+  // Dedup against the applied set and the unapplied log suffix
+  // (lastApplied, last]: every command at or below lastApplied (the
+  // compacted prefix included) is in appliedSet_ already. Failover retries
+  // can still slip a duplicate past this — a prior leader's append may be
+  // committed but not yet visible here — which is exactly what the
+  // apply-level dedup is for.
+  const std::vector<raft::LogEntry>& entries = log();
+  const auto unapplied =
+      entries.begin() +
+      static_cast<std::ptrdiff_t>(lastApplied() - snapshotIndex());
+  const auto inLog = [&](Value cmd) {
+    for (auto it = unapplied; it != entries.end(); ++it)
+      if (it->command == cmd) return true;
+    return false;
+  };
+  std::vector<Value> fresh;
   for (Value cmd : commands) {
-    if (appliedSet_.contains(cmd) || inLog.contains(cmd)) continue;
-    submit(cmd);
-    inLog.insert(cmd);
+    if (appliedSet_.contains(cmd) || inLog(cmd) ||
+        std::find(fresh.begin(), fresh.end(), cmd) != fresh.end())
+      continue;
+    fresh.push_back(cmd);
   }
+  submitAll(fresh);
 }
 
 void RaftLogNode::resubmitUnapplied() {
@@ -180,8 +196,8 @@ std::optional<Value> RaftLogNode::leaderBarrier() const {
 }
 
 bool RaftLogNode::drained() const noexcept {
-  for (Value cmd : pendingLocal_)
-    if (!appliedSet_.contains(cmd)) return false;
+  if (!booted_) return false;  // the workload is not homed yet
+  if (!arrivalTick_.empty()) return false;  // an own command is unapplied
   // No future arrival is scheduled. This deliberately also covers a
   // closed-loop client stalled on a command the crash erased before
   // replication (nothing will ever unstall it): the run should end, and

@@ -9,8 +9,8 @@
 //  * the same deterministic Workload as SvcNode mints commands on a
 //    timer;
 //  * a node that is not the leader fans its commands out (CmdForward);
-//    whoever leads appends them, deduplicating against its log and the
-//    applied prefix;
+//    whoever leads appends each offered batch at once (submitAll),
+//    deduplicating against its unapplied log suffix and the applied set;
 //  * commands not yet applied are re-fanned-out periodically, which is
 //    what carries them across leader failovers (the blackout window E21
 //    measures is visible as the commit-tick gap this retry bridges);
@@ -123,6 +123,8 @@ class RaftLogNode final : public raft::RaftProcess {
   std::uint32_t cmdSeq_ = 0;  ///< per-incarnation (see mintCommand)
   /// Own commands in mint order, retried until applied.
   std::deque<Value> pendingLocal_;
+  /// Own commands of this incarnation not yet applied -> arrival tick
+  /// (latency accounting; empty exactly when pendingLocal_ is all applied).
   std::unordered_map<Value, Tick> arrivalTick_;
 
   std::vector<Value> applied_;
@@ -138,6 +140,8 @@ class RaftLogNode final : public raft::RaftProcess {
   TimerId arrivalTimer_ = 0;
   Tick arrivalArmedFor_ = 0;
   TimerId resubmitTimer_ = 0;
+  /// False until onStart (or onRestart) homes the workload at self().
+  bool booted_ = false;
   /// True while the base class replays the journal in onRestart: replayed
   /// applies must not re-trigger closed-loop client feedback.
   bool replaying_ = false;

@@ -62,12 +62,10 @@ class SvcNode::DecreeContextImpl final : public Context {
 
 SvcNode::SvcNode(EngineFactory engineFactory, const WorkloadOptions& workload,
                  std::size_t n, std::uint64_t seed, SvcNodeOptions options)
-    : engineFactory_(std::move(engineFactory)),
-      options_(options),
-      workload_(workload, /*node=*/0, n, seed) {
+    : engineFactory_(std::move(engineFactory)), options_(options) {
   // The workload must be homed at this node's id, which is only known once
-  // bound; Process::bind happens before onStart, so rebuild it there.
-  // (Workload construction is cheap; the throwaway above just validates.)
+  // bound; Process::bind happens before onStart, so it is built there.
+  Workload::validate(workload, n);
   if (options_.window == 0)
     throw std::invalid_argument("svc: window must be positive");
   if (options_.batchMax == 0)
@@ -100,7 +98,7 @@ Value SvcNode::mintCommand() {
 }
 
 void SvcNode::onStart() {
-  // Re-home the workload now that self() is known.
+  // Home the workload now that self() is known.
   workload_ = Workload(workloadOptions_, ctx().self(), workloadN_,
                        workloadSeed_);
   armArrivalTimer();

@@ -216,7 +216,7 @@ class SvcNode final : public Process {
 
   EngineFactory engineFactory_;
   SvcNodeOptions options_;
-  /// Workload construction parameters, kept so onStart can re-home the
+  /// Workload construction parameters, kept so onStart can home the
   /// generator at the node id (unknown until bound).
   WorkloadOptions workloadOptions_;
   std::size_t workloadN_ = 0;

@@ -1,33 +1,67 @@
 #include "svc/workload.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
 
 namespace ooc::svc {
+namespace {
+
+/// The zipf CDF for (keySpace, theta): cum[k] = sum_{i<=k} 1/(i+1)^theta,
+/// normalized; draws binary-search it with a uniform double. Every node of
+/// every run with the same shape shares one immutable table. The cache is
+/// locked (sweep workers build service runs concurrently) and keeps only
+/// the few most recent shapes; a workload holds its table alive itself.
+std::shared_ptr<const std::vector<double>> zipfCdf(std::uint32_t keySpace,
+                                                   double theta) {
+  struct Entry {
+    std::uint32_t keySpace;
+    std::uint64_t thetaBits;
+    std::shared_ptr<const std::vector<double>> cdf;
+  };
+  constexpr std::size_t kMaxShapes = 4;
+  static std::mutex mutex;
+  static std::vector<Entry> cache;  // most recently built last
+
+  const auto thetaBits = std::bit_cast<std::uint64_t>(theta);
+  const std::lock_guard lock(mutex);
+  for (const Entry& entry : cache)
+    if (entry.keySpace == keySpace && entry.thetaBits == thetaBits)
+      return entry.cdf;
+
+  auto cdf = std::make_shared<std::vector<double>>(keySpace);
+  double sum = 0.0;
+  for (std::uint32_t k = 0; k < keySpace; ++k) {
+    sum += 1.0 / std::pow(static_cast<double>(k) + 1.0, theta);
+    (*cdf)[k] = sum;
+  }
+  for (double& c : *cdf) c /= sum;
+  if (cache.size() == kMaxShapes) cache.erase(cache.begin());
+  cache.push_back({keySpace, thetaBits, cdf});
+  return cdf;
+}
+
+}  // namespace
+
+void Workload::validate(const WorkloadOptions& options, std::size_t n) {
+  if (n == 0) throw std::invalid_argument("workload: n must be positive");
+  if (options.keySpace == 0)
+    throw std::invalid_argument("workload: keySpace must be positive");
+  if (options.thinkMax < options.thinkMin)
+    throw std::invalid_argument("workload: thinkMax < thinkMin");
+}
 
 Workload::Workload(const WorkloadOptions& options, ProcessId node,
                    std::size_t n, std::uint64_t seed)
     : options_(options),
       rng_(Rng(seed).split(0x776Cull + node)) {
-  if (n == 0) throw std::invalid_argument("workload: n must be positive");
-  if (options_.keySpace == 0)
-    throw std::invalid_argument("workload: keySpace must be positive");
-  if (options_.thinkMax < options_.thinkMin)
-    throw std::invalid_argument("workload: thinkMax < thinkMin");
+  validate(options_, n);
   // Clients are partitioned by home node; remainders go to the low ids.
   population_ = options_.clients / n +
                 (node < options_.clients % n ? 1 : 0);
-
-  // Zipf CDF: cum[k] = sum_{i<=k} 1/(i+1)^theta, normalized. Built once;
-  // draws binary-search it with a uniform double.
-  zipfCdf_.resize(options_.keySpace);
-  double sum = 0.0;
-  for (std::uint32_t k = 0; k < options_.keySpace; ++k) {
-    sum += 1.0 / std::pow(static_cast<double>(k) + 1.0, options_.zipfTheta);
-    zipfCdf_[k] = sum;
-  }
-  for (double& c : zipfCdf_) c /= sum;
+  zipfCdf_ = zipfCdf(options_.keySpace, options_.zipfTheta);
 
   const std::uint64_t cap = options_.commandsPerNode;
   if (options_.closedLoop) {
@@ -97,11 +131,11 @@ void Workload::onCommit(Tick now) {
 }
 
 std::uint32_t Workload::drawKey() {
+  const std::vector<double>& cdf = *zipfCdf_;
   const double u = rng_.uniform01();
-  const auto it = std::lower_bound(zipfCdf_.begin(), zipfCdf_.end(), u);
-  return static_cast<std::uint32_t>(
-      std::min<std::size_t>(static_cast<std::size_t>(it - zipfCdf_.begin()),
-                            zipfCdf_.size() - 1));
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return static_cast<std::uint32_t>(std::min<std::size_t>(
+      static_cast<std::size_t>(it - cdf.begin()), cdf.size() - 1));
 }
 
 std::uint64_t Workload::hottestKeyHits() const {

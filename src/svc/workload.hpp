@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -70,8 +71,15 @@ struct Arrival {
 /// when it fires; commits feed back through onCommit() in closed-loop mode.
 class Workload {
  public:
+  /// An empty calendar (no arrivals, nothing emitted): the placeholder a
+  /// service node holds until onStart homes the real one at its id.
+  Workload() = default;
   Workload(const WorkloadOptions& options, ProcessId node, std::size_t n,
            std::uint64_t seed);
+
+  /// Throws std::invalid_argument when (options, n) cannot build a
+  /// workload — the same checks the constructor makes.
+  static void validate(const WorkloadOptions& options, std::size_t n);
 
   /// Earliest tick (strictly greater than `now`) with pending arrivals;
   /// 0 when the calendar is empty (cap reached and nothing scheduled).
@@ -103,8 +111,9 @@ class Workload {
   Rng rng_;
   /// tick -> number of arrivals scheduled there (drawn lazily at collect).
   std::map<Tick, std::uint32_t> calendar_;
-  /// Zipf CDF over [0, keySpace), built once per workload.
-  std::vector<double> zipfCdf_;
+  /// Zipf CDF over [0, keySpace): a pure function of (keySpace,
+  /// zipfTheta), built once per process and shared by every workload.
+  std::shared_ptr<const std::vector<double>> zipfCdf_;
   std::uint64_t planned_ = 0;  ///< arrivals scheduled (cap applies here)
   std::uint64_t emitted_ = 0;  ///< arrivals actually collected
   std::unordered_map<std::uint32_t, std::uint64_t> keyCounts_;

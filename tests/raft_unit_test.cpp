@@ -3,6 +3,7 @@
 // replies and state transitions each RPC produces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -311,6 +312,126 @@ TEST(RaftUnit, BacktracksNextIndexOnRejection) {
   ASSERT_NE(retry, nullptr);
   EXPECT_LT(retry->prevLogIndex, 2u);
   EXPECT_FALSE(retry->entries.empty());
+}
+
+// Flow control: a batch goes out as one AppendEntries per follower, and an
+// acknowledgement re-sends nothing that is still in flight to that follower.
+TEST(RaftUnit, BatchedSubmitSendsOneAppendPerFollower) {
+  Bench bench;
+  bench.elect();
+  const raft::Term term = bench.node.currentTerm();
+  ASSERT_TRUE(bench.node.submitAll(std::vector<Value>{11, 12, 13, 14, 15}));
+  EXPECT_EQ(bench.node.lastLogIndex(), 5u);
+  EXPECT_EQ(bench.ctx.countOf<raft::AppendEntries>(), 4u);
+  for (ProcessId peer = 1; peer < 5; ++peer) {
+    const auto* append = bench.ctx.lastTo<raft::AppendEntries>(peer);
+    ASSERT_NE(append, nullptr);
+    EXPECT_EQ(append->prevLogIndex, 0u);
+    EXPECT_EQ(append->entries.size(), 5u);
+  }
+
+  // A second batch while the first is unacknowledged: again one append per
+  // follower.
+  bench.ctx.clear();
+  ASSERT_TRUE(bench.node.submitAll(std::vector<Value>{16, 17}));
+  EXPECT_EQ(bench.ctx.countOf<raft::AppendEntries>(), 4u);
+
+  // Follower 1 acknowledges the first batch, then the second. Entries 6..7
+  // were already shipped to it, so neither reply triggers a re-send (one
+  // follower is no quorum, so no commit-advance broadcast either).
+  bench.ctx.clear();
+  bench.node.onMessage(1, raft::AppendEntriesReply(term, true, 5));
+  bench.node.onMessage(1, raft::AppendEntriesReply(term, true, 7));
+  EXPECT_EQ(bench.ctx.countOf<raft::AppendEntries>(), 0u);
+  EXPECT_EQ(bench.node.commitIndex(), 0u);
+
+  // A new entry is pushed to follower 1 from its acknowledged prefix.
+  ASSERT_TRUE(bench.node.submit(18));
+  const auto* append = bench.ctx.lastTo<raft::AppendEntries>(1);
+  ASSERT_NE(append, nullptr);
+  EXPECT_EQ(append->prevLogIndex, 7u);
+  EXPECT_EQ(append->entries.size(), 1u);
+
+  // An empty batch is a no-op; a follower cannot submit at all.
+  bench.ctx.clear();
+  EXPECT_TRUE(bench.node.submitAll({}));
+  EXPECT_EQ(bench.ctx.countOf<raft::AppendEntries>(), 0u);
+  Bench follower;
+  EXPECT_FALSE(follower.node.submitAll(std::vector<Value>{1, 2}));
+  EXPECT_EQ(follower.node.lastLogIndex(), 0u);
+}
+
+// A lost append is not retried on the reply path (no reply comes); the
+// next heartbeat re-ships everything from nextIndex.
+TEST(RaftUnit, HeartbeatRecoversDroppedAppend) {
+  Bench bench;
+  bench.elect();
+  const TimerId heartbeat = bench.ctx.timerCounter;  // armed on election
+  const raft::Term term = bench.node.currentTerm();
+  ASSERT_TRUE(bench.node.submitAll(std::vector<Value>{21, 22}));
+  bench.ctx.clear();  // every append is dropped in transit
+
+  bench.node.onTimer(heartbeat);
+  for (ProcessId peer = 1; peer < 5; ++peer) {
+    const auto* append = bench.ctx.lastTo<raft::AppendEntries>(peer);
+    ASSERT_NE(append, nullptr);
+    EXPECT_EQ(append->prevLogIndex, 0u);
+    ASSERT_EQ(append->entries.size(), 2u);
+    EXPECT_EQ(append->entries[0].command, 21);
+    EXPECT_EQ(append->entries[1].command, 22);
+  }
+  bench.node.onMessage(1, raft::AppendEntriesReply(term, true, 2));
+  bench.node.onMessage(2, raft::AppendEntriesReply(term, true, 2));
+  EXPECT_EQ(bench.node.commitIndex(), 2u);
+}
+
+// A follower missing more than maxEntriesPerAppend entries is walked back
+// by rejections and then fed chunk after chunk by its own success replies,
+// with no heartbeat in between.
+TEST(RaftUnit, TrailingFollowerCatchesUpWithoutHeartbeats) {
+  Bench bench;
+  const std::size_t cap = raft::RaftConfig{}.maxEntriesPerAppend;
+  const raft::LogIndex total = 2 * cap + 22;
+  // Node 0 learns a long term-1 log from leader 3, then wins term 2.
+  std::vector<raft::LogEntry> entries;
+  for (raft::LogIndex i = 1; i <= total; ++i)
+    entries.push_back(raft::LogEntry{1, static_cast<Value>(i)});
+  bench.node.onMessage(3, raft::AppendEntries(1, 3, 0, 0, entries, 0));
+  ASSERT_EQ(bench.node.lastLogIndex(), total);
+  bench.elect();
+  const raft::Term term = bench.node.currentTerm();
+  ASSERT_EQ(term, 2u);
+
+  // Follower 4 has nothing: it rejects until the leader reaches index 0.
+  bench.node.onMessage(4, raft::AppendEntriesReply(term, false, 0));
+  const raft::AppendEntries* append = nullptr;
+  std::size_t rejections = 1;
+  for (;;) {
+    append = bench.ctx.lastTo<raft::AppendEntries>(4);
+    ASSERT_NE(append, nullptr);
+    if (append->prevLogIndex == 0) break;
+    bench.ctx.clear();
+    bench.node.onMessage(4, raft::AppendEntriesReply(term, false, 0));
+    ASSERT_LE(++rejections, total);
+  }
+  EXPECT_EQ(rejections, total);
+  EXPECT_EQ(append->entries.size(), cap);
+
+  // Each acknowledgement pushes the next chunk straight away.
+  raft::LogIndex matched = 0;
+  while (matched < total) {
+    matched += append->entries.size();
+    bench.ctx.clear();
+    bench.node.onMessage(4, raft::AppendEntriesReply(term, true, matched));
+    if (matched == total) break;
+    append = bench.ctx.lastTo<raft::AppendEntries>(4);
+    ASSERT_NE(append, nullptr) << "stalled at " << matched;
+    EXPECT_EQ(append->prevLogIndex, matched);
+    EXPECT_EQ(append->entries.size(),
+              std::min<raft::LogIndex>(cap, total - matched));
+  }
+  EXPECT_EQ(bench.ctx.countOf<raft::AppendEntries>(), 0u)
+      << "a caught-up follower is sent nothing more";
 }
 
 TEST(RaftUnit, SnapshotInstallAndStaleSnapshotIgnored) {

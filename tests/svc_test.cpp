@@ -4,10 +4,13 @@
 // config round-trip, and the registry capability gate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "svc/run.hpp"
+#include "svc/workload.hpp"
+#include "sweep/scheduler.hpp"
 
 namespace ooc::svc {
 namespace {
@@ -173,6 +176,99 @@ TEST(Svc, EngineGateRejectsByCapability) {
   SvcConfig bad = smokeConfig("compose");
   bad.driver = "local-coin";
   EXPECT_THROW((void)runSvc(bad), std::invalid_argument);
+}
+
+// Raft replication flow control keeps the per-command message bill flat
+// past the arrival-rate knee: on the svc-steady shape (n=5, delay 1..6,
+// durable journals, open-loop zipfian load), four times the arrival rate
+// costs at most 1.5x the messages per committed command (measured: 16.3
+// vs 18.9). Without flow control every acknowledgement re-sent the
+// in-flight suffix and the overload rung cost 15x (394 vs 25.9). Message
+// counts are deterministic, so the bound is exact for this seed.
+TEST(Svc, RaftMessagesPerCommandFlatUnderOverload) {
+  const auto msgsPerCommit = [](double rate) {
+    SvcConfig config;
+    config.engine = "raft";
+    config.n = 5;
+    config.seed = 7001;
+    config.minDelay = 1;
+    config.maxDelay = 6;
+    config.service.window = 4;
+    config.service.batchMax = 4;
+    config.service.durable = true;
+    config.workload.clients = 100000;
+    config.workload.commandsPerNode = 200;
+    config.workload.closedLoop = false;
+    config.workload.arrivalsPerTick = rate;
+    config.workload.zipfTheta = 0.99;
+    const SvcResult result = runSvc(config);
+    EXPECT_TRUE(result.prefixOk);
+    EXPECT_TRUE(result.exactlyOnce);
+    EXPECT_TRUE(result.allApplied);
+    EXPECT_GT(result.commandsCommitted, 0u);
+    return static_cast<double>(result.messagesByCorrect) /
+           static_cast<double>(result.commandsCommitted);
+  };
+  const double steady = msgsPerCommit(0.05);
+  const double overload = msgsPerCommit(0.2);
+  EXPECT_LE(overload, 1.5 * steady)
+      << "steady " << steady << " msgs/commit, overload " << overload;
+}
+
+// Key draws are a pure function of (options, node, n, seed): pinned here so
+// that sharing the zipf table between workloads provably changes nothing.
+TEST(Workload, ZipfKeysPinned) {
+  WorkloadOptions options;
+  options.closedLoop = false;
+  options.arrivalsPerTick = 1.0;
+  options.commandsPerNode = 16;
+  const std::vector<std::vector<std::uint32_t>> expected = {
+      {0, 1, 257, 783, 14, 0, 434, 152, 18902, 276, 5, 7008, 7774, 642, 95,
+       1},
+      {282, 30, 3, 1139, 0, 1061, 214, 22, 2, 71, 23587, 11, 15, 0, 1, 6153},
+  };
+  for (int pass = 0; pass < 2; ++pass) {  // the second pass hits the cache
+    for (ProcessId node = 0; node < expected.size(); ++node) {
+      Workload workload(options, node, 5, 2024);
+      std::vector<std::uint32_t> keys;
+      for (const Arrival& arrival : workload.collect(1000))
+        keys.push_back(arrival.key);
+      EXPECT_EQ(keys, expected[node]) << "node " << node;
+    }
+  }
+}
+
+// Workloads are built concurrently by sweep workers (check-sweep runs svc
+// configs on several threads): every shape must come out identical to a
+// sequential build. Under tsan this covers the shared zipf-table cache.
+TEST(Workload, ConcurrentConstructionMatchesSequential) {
+  const auto keysOf = [](std::size_t index) {
+    WorkloadOptions options;
+    options.closedLoop = false;
+    options.arrivalsPerTick = 1.0;
+    options.commandsPerNode = 32;
+    options.keySpace = 1u << (10 + index % 3);  // a few distinct tables
+    options.zipfTheta = index % 2 == 0 ? 0.99 : 0.8;
+    Workload workload(options, static_cast<ProcessId>(index % 5), 5,
+                      100 + index);
+    std::vector<std::uint32_t> keys;
+    for (const Arrival& arrival : workload.collect(1000))
+      keys.push_back(arrival.key);
+    return keys;
+  };
+  constexpr std::size_t kRuns = 48;
+  std::vector<std::vector<std::uint32_t>> concurrent(kRuns);
+  sweep::Options options;
+  options.threads = 4;
+  options.chunkSize = 1;
+  sweep::parallelFor(
+      kRuns,
+      [&](std::size_t index, sweep::Control&) {
+        concurrent[index] = keysOf(index);
+      },
+      options);
+  for (std::size_t index = 0; index < kRuns; ++index)
+    EXPECT_EQ(concurrent[index], keysOf(index)) << "run " << index;
 }
 
 }  // namespace
