@@ -1,5 +1,6 @@
 #include "compose/kv.hpp"
 
+#include <charconv>
 #include <stdexcept>
 
 #include "obs/run_id.hpp"
@@ -63,12 +64,24 @@ std::string crashEntry(const std::pair<ProcessId, Tick>& crash) {
   return std::to_string(crash.first) + "@" + std::to_string(crash.second);
 }
 
+std::optional<std::uint64_t> parseEntryU64(std::string_view field) {
+  std::uint64_t value = 0;
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (field.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 std::pair<ProcessId, Tick> parseCrash(const std::string& entry) {
-  const auto at = entry.find('@');
-  if (at == std::string::npos)
+  const std::string_view text(entry);
+  const auto at = text.find('@');
+  const auto id = parseEntryU64(text.substr(0, at));
+  const auto tick = at == std::string_view::npos
+                        ? std::nullopt
+                        : parseEntryU64(text.substr(at + 1));
+  if (!id || !tick || *id > std::numeric_limits<ProcessId>::max())
     throw std::runtime_error("config: malformed crash '" + entry + "'");
-  return {static_cast<ProcessId>(std::stoul(entry.substr(0, at))),
-          static_cast<Tick>(std::stoull(entry.substr(at + 1)))};
+  return {static_cast<ProcessId>(*id), *tick};
 }
 
 void putAdversary(KvWriter& kv, const AdversaryOptions& adversary) {

@@ -10,8 +10,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -86,7 +88,13 @@ class KvReader {
   std::unordered_map<std::string, std::vector<std::string>> entries_;
 };
 
-/// `pid@tick` crash-schedule entries.
+/// A whole field of a structured entry as an unsigned decimal; nullopt
+/// when it is empty, has a sign, a non-digit or trailing characters, or
+/// overflows 64 bits.
+std::optional<std::uint64_t> parseEntryU64(std::string_view field);
+
+/// `pid@tick` crash-schedule entries. parseCrash throws std::runtime_error
+/// naming the entry on any malformed field.
 std::string crashEntry(const std::pair<ProcessId, Tick>& crash);
 std::pair<ProcessId, Tick> parseCrash(const std::string& entry);
 

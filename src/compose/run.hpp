@@ -30,9 +30,9 @@ struct CompositionResult {
   std::uint64_t messagesByCorrect = 0;
   /// Scheduler events executed by the run (bench_simcore's work unit).
   std::uint64_t eventsProcessed = 0;
-  /// Deep payload copies made by the simulator. Zero for every in-tree
-  /// object (they all use the shared-payload post/fanout path); growth
-  /// here is a copy regression, asserted by tests/simcore_perf_test.cpp.
+  /// Deep payload copies: always 0, since post/fanout share one immutable
+  /// payload and Message has no copy path. Kept only because perfbench/
+  /// folds it into its consensus-mix run digest.
   std::uint64_t messagesCloned = 0;
 
   /// Per-round object audits over the template processes.

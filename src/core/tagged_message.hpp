@@ -20,7 +20,7 @@ inline const char* toString(Stage s) noexcept {
 }
 
 /// (round, stage)-tagged envelope around an object's inner message. The
-/// inner payload is shared (immutable, refcounted): cloning the envelope or
+/// inner payload is shared (immutable, refcounted): forwarding the envelope or
 /// buffering the payload for replay adds a ref, never a deep copy.
 class TaggedMessage final : public MessageBase<TaggedMessage> {
  public:

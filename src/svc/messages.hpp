@@ -20,8 +20,8 @@
 
 namespace ooc::svc {
 
-/// Decree-number envelope around consensus-engine traffic (the pipelined
-/// generalization of log::SlotMessage). The inner payload is shared:
+/// Decree-number envelope around consensus-engine traffic. The inner
+/// payload is shared:
 /// forwarding the envelope adds a ref, never a copy.
 class DecreeMessage final : public MessageBase<DecreeMessage> {
  public:

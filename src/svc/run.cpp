@@ -1,8 +1,10 @@
 #include "svc/run.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -18,7 +20,7 @@ namespace ooc::svc {
 namespace {
 
 /// Decrees restart the template's rounds at 1, so every per-decree engine
-/// seed must mix the decree in (the sequential log's livelock rule).
+/// seed must mix the decree in (see EngineFactory's livelock note).
 std::uint64_t decreeSeed(std::uint64_t seed, std::uint64_t decree) noexcept {
   return seed ^ (0x9E3779B97F4A7C15ull * (decree + 1));
 }
@@ -108,6 +110,35 @@ std::optional<std::string> validateEngine(const SvcConfig& config) {
   return std::nullopt;
 }
 
+EngineFactory composeEngineFactory(const SvcConfig& config) {
+  const auto* detector = &compose::registry().detector(config.detector);
+  const auto* driver = &compose::registry().driver(config.driver);
+  const std::size_t t = config.t.value_or(
+      (config.n - 1) /
+      std::max<std::size_t>(1, detector->capability.tDivisor));
+  compose::ObjectParams params;
+  params.n = config.n;
+  params.t = t;
+  params.seed = config.seed;
+  params.bias = config.bias;
+  const Round maxRounds = config.maxRoundsPerDecree;
+  const SchedulingPolicy scheduling = config.scheduler;
+  return [detector, driver, params, maxRounds, scheduling](
+             std::uint64_t decree, Value proposal,
+             bool /*proposer*/) -> std::unique_ptr<Process> {
+    compose::ObjectParams p = params;
+    p.seed = decreeSeed(params.seed, decree);
+    ConsensusProcess::Options options;
+    options.kind = TemplateKind::kVacReconciliator;
+    options.scheduling = scheduling;
+    options.alwaysRunDriver = true;
+    options.participateRoundsAfterDecide = 1;
+    options.maxRounds = maxRounds;
+    return std::make_unique<ConsensusProcess>(
+        proposal, detector->make(p), driver->make(p), options);
+  };
+}
+
 SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
   if (const auto rejected = validateEngine(config))
     throw std::invalid_argument(*rejected);
@@ -172,31 +203,7 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
         return std::make_unique<paxos::PaxosNode>(proposal, pc);
       };
     } else {
-      const auto* detector = &compose::registry().detector(config.detector);
-      const auto* driver = &compose::registry().driver(config.driver);
-      const std::size_t t = config.t.value_or(
-          (n - 1) / std::max<std::size_t>(1, detector->capability.tDivisor));
-      compose::ObjectParams params;
-      params.n = n;
-      params.t = t;
-      params.seed = config.seed;
-      params.bias = config.bias;
-      const Round maxRounds = config.maxRoundsPerDecree;
-      const SchedulingPolicy scheduling = config.scheduler;
-      factory = [detector, driver, params, maxRounds, scheduling](
-                    std::uint64_t decree, Value proposal,
-                    bool /*proposer*/) -> std::unique_ptr<Process> {
-        compose::ObjectParams p = params;
-        p.seed = decreeSeed(params.seed, decree);
-        ConsensusProcess::Options options;
-        options.kind = TemplateKind::kVacReconciliator;
-        options.scheduling = scheduling;
-        options.alwaysRunDriver = true;
-        options.participateRoundsAfterDecide = 1;
-        options.maxRounds = maxRounds;
-        return std::make_unique<ConsensusProcess>(
-            proposal, detector->make(p), driver->make(p), options);
-      };
+      factory = composeEngineFactory(config);
     }
     for (ProcessId id = 0; id < n; ++id) {
       auto node = std::make_unique<SvcNode>(factory, config.workload, n,
@@ -487,15 +494,20 @@ SvcConfig parseSvcConfig(const std::string& text) {
   for (const std::string& entry : kv.getAll("crash"))
     config.crashes.push_back(compose::parseCrash(entry));
   for (const std::string& entry : kv.getAll("restart")) {
-    const auto at = entry.find('@');
-    const auto plus = entry.find('+', at == std::string::npos ? 0 : at);
-    if (at == std::string::npos || plus == std::string::npos)
+    // pid@tick+downtime; every field a whole unsigned decimal.
+    const std::string_view text(entry);
+    const auto at = text.find('@');
+    const auto plus = text.find('+', at == std::string_view::npos ? 0 : at);
+    std::optional<std::uint64_t> id, tick, downtime;
+    if (at != std::string_view::npos && plus != std::string_view::npos) {
+      id = compose::parseEntryU64(text.substr(0, at));
+      tick = compose::parseEntryU64(text.substr(at + 1, plus - at - 1));
+      downtime = compose::parseEntryU64(text.substr(plus + 1));
+    }
+    if (!id || !tick || !downtime ||
+        *id > std::numeric_limits<ProcessId>::max())
       throw std::runtime_error("svc: malformed restart '" + entry + "'");
-    RestartEvent event;
-    event.id = static_cast<ProcessId>(std::stoul(entry.substr(0, at)));
-    event.at = std::stoull(entry.substr(at + 1, plus - at - 1));
-    event.downtime = std::stoull(entry.substr(plus + 1));
-    config.restarts.push_back(event);
+    config.restarts.push_back({static_cast<ProcessId>(*id), *tick, *downtime});
   }
   config.adversary = compose::getAdversary(kv);
   config.maxRoundsPerDecree = static_cast<Round>(

@@ -136,6 +136,14 @@ struct SvcResult {
 /// (listing the known names), mirroring the composition resolver.
 std::optional<std::string> validateEngine(const SvcConfig& config);
 
+/// The per-decree engine factory runSvc hosts in every SvcNode for
+/// engine="compose": the registry detector/driver pairing under the VAC +
+/// reconciliator template, with each decree's object seed mixed from
+/// (config.seed, decree) so a decree never replays the previous decree's
+/// lottery. Unknown registry names throw; the capability gate is
+/// validateEngine's job.
+EngineFactory composeEngineFactory(const SvcConfig& config);
+
 /// Runs one service configuration to quiescence. Deterministic in
 /// (config, seed); throws std::invalid_argument on an inadmissible engine
 /// or bad parameters.

@@ -4,11 +4,16 @@
 // diagnosed with a divergence.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "check/replay.hpp"
 #include "check/scenario.hpp"
+#include "compose/kv.hpp"
 #include "harness/serialize.hpp"
+#include "svc/run.hpp"
 
 namespace ooc::check {
 namespace {
@@ -145,10 +150,36 @@ TEST(Replay, CounterexampleFileRoundTrips) {
   EXPECT_EQ(serialize(parsed.scenario), serialize(file.scenario));
 }
 
+// Fault-schedule entries are parsed field by field: a non-numeric field or
+// trailing characters reject the whole entry, and the diagnostic names it.
+void expectRejectedEntry(const std::function<void()>& parse,
+                         const std::string& entry) {
+  try {
+    parse();
+    ADD_FAILURE() << "accepted malformed entry '" << entry << "'";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("'" + entry + "'"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(Replay, MalformedCounterexampleThrows) {
   EXPECT_THROW(parseCounterexample("nonsense"), std::runtime_error);
   EXPECT_THROW(parseCounterexample("ooc-counterexample v1\ninvariant=x\n"),
                std::runtime_error);
+  EXPECT_EQ(compose::parseCrash("1@5"), (std::pair<ProcessId, Tick>{1, 5}));
+  for (const std::string crash : {"1x@5", "1@5junk", "x@5", "2@"})
+    expectRejectedEntry([&] { (void)compose::parseCrash(crash); }, crash);
+  const std::string svcBody = svc::serializeSvcConfig(svc::SvcConfig{});
+  EXPECT_EQ(svc::parseSvcConfig(svcBody + "restart=1@5+50").restarts.size(),
+            1u);
+  for (const std::string restart :
+       {"1x@5+50", "1@5junk+50", "x@5+50", "2@+50", "2@5+"}) {
+    expectRejectedEntry(
+        [&] { (void)svc::parseSvcConfig(svcBody + "restart=" + restart); },
+        restart);
+  }
 }
 
 TEST(Replay, AdversaryScheduleIsPartOfTheConfig) {

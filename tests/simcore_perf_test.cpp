@@ -7,7 +7,7 @@
 //    move a single event;
 //  * payload aliasing — a fan-out constructs exactly one message instance
 //    and every recipient sees the same object; duplication faults add
-//    refs, not copies; the legacy broadcast clones exactly once per call;
+//    refs, not copies;
 //  * calendar ordering — timers beyond the queue's 1024-tick bucket window
 //    fire in tick order through the overflow heap and cursor jumps;
 //  * lazy rendering — Message::describe() runs only for observers that
@@ -133,7 +133,6 @@ TEST(PayloadSharing, FanoutConstructsOnceAndAliasesEveryDelivery) {
   sim.run();
 
   EXPECT_EQ(countedConstructed, 1);  // one instance for the whole broadcast
-  EXPECT_EQ(sim.messagesCloned(), 0u);
   EXPECT_EQ(sim.messagesSent(), kN);
   EXPECT_EQ(sim.messagesDelivered(), kN);
   const Message* shared = nullptr;
@@ -166,41 +165,16 @@ TEST(PayloadSharing, DuplicationFaultsAddRefsNotCopies) {
   sim.run();
 
   EXPECT_EQ(countedConstructed, 10);  // one instance per post, none per copy
-  EXPECT_EQ(sim.messagesCloned(), 0u);
   EXPECT_GT(sim.messagesDuplicated(), 0u);
   EXPECT_EQ(receiver->addresses.size(),
             10u + static_cast<std::size_t>(sim.messagesDuplicated()));
 }
 
-class LegacyBroadcaster final : public AddressRecorder {
- public:
-  void onStart() override {
-    // The pre-overhaul API: caller keeps ownership, simulator must copy.
-    const CountedMsg msg(3);
-    ctx().broadcast(msg);
-    ctx().broadcast(msg);
-  }
-};
-
-TEST(PayloadSharing, LegacyBroadcastClonesExactlyOncePerCall) {
-  countedConstructed = 0;
-  Simulator sim(SimConfig{}, std::make_unique<SynchronousNetwork>());
-  sim.addProcess(std::make_unique<LegacyBroadcaster>());
-  sim.addProcess(std::make_unique<AddressRecorder>());
-  sim.run();
-
-  // One local instance + one clone shared across all recipients, per call.
-  EXPECT_EQ(sim.messagesCloned(), 2u);
-  EXPECT_EQ(countedConstructed, 3);
-  EXPECT_EQ(sim.messagesDelivered(), 4u);
-}
-
 TEST(PayloadSharing, InTreeCompositionsNeverClonePayloads) {
-  // Every registered in-tree object uses the shared-payload post/fanout
-  // path, so the cloned-messages counter must stay zero across the whole
-  // valid detector × driver cross-product. runComposition() starts each
-  // run on a fresh Simulator, so the counter cannot carry over between
-  // cells either.
+  // Post/fanout is the only message API and Message has no deep copy, so
+  // payloads are never copied. What this checks is that the whole valid
+  // detector × driver cross-product runs on that API to a safe end,
+  // exchanging messages.
   auto& reg = compose::registry();
   for (const std::string& detector : reg.detectorNames()) {
     for (const std::string& driver : reg.driverNames()) {
@@ -212,7 +186,7 @@ TEST(PayloadSharing, InTreeCompositionsNeverClonePayloads) {
       composition.maxTicks = 200'000;
       // Oracle-consuming drivers get the strongest oracle their
       // requirement admits — the oracle is a pure model consulted by the
-      // driver, so it must not introduce clones either.
+      // driver.
       const auto requirement = reg.driver(driver).capability.oracle;
       if (requirement != compose::OracleRequirement::kNone) {
         composition.oracle =
@@ -234,8 +208,8 @@ TEST(PayloadSharing, InTreeCompositionsNeverClonePayloads) {
         composition.inputs = {0, 1, 0, 1, 1};
       }
       const auto result = compose::runComposition(composition);
-      EXPECT_EQ(result.messagesCloned, 0u)
-          << "payload copy regression in " << detector << "+" << driver;
+      EXPECT_GT(result.messagesByCorrect, 0u) << detector << "+" << driver;
+      EXPECT_FALSE(result.agreementViolated) << detector << "+" << driver;
     }
   }
 }
@@ -244,7 +218,7 @@ TEST(PayloadSharing, NonLockstepSchedulersNeverClonePayloads) {
   // The roundless policies change WHO consumes a payload (buffered
   // replays, loose drivers, wakeup-deferred successors) but never copy it:
   // buffering shares the envelope's payload and a detached drive keeps the
-  // original object. Zero clones must survive both skewed schedulers.
+  // original object. Both skewed schedulers must still decide.
   for (const SchedulingPolicy policy :
        {SchedulingPolicy::kEventDriven, SchedulingPolicy::kOooDriver}) {
     compose::Composition composition;
@@ -258,9 +232,6 @@ TEST(PayloadSharing, NonLockstepSchedulersNeverClonePayloads) {
     composition.maxTicks = 200'000;
     const auto result = compose::runComposition(composition);
     EXPECT_TRUE(result.allDecided) << toString(policy);
-    EXPECT_EQ(result.messagesCloned, 0u)
-        << "payload copy regression under the " << toString(policy)
-        << " scheduler";
   }
 }
 

@@ -1,13 +1,20 @@
 // Multi-decree replicated-log service tests (src/svc): the three engines
-// under the deterministic client workload, pipelining and batching,
-// byte-identical determinism, durable restart + catch-up, the serialized
-// config round-trip, and the registry capability gate.
+// under the deterministic client workload, idle nodes and quiescence,
+// pipelining and batching, byte-identical determinism, crashes and
+// restarts (durable catch-up), the serialized config round-trip, the
+// registry capability gate, and the sequential replicated log (window 1,
+// one command per decree: quiescence, idle nodes, prefixes under crashes
+// and non-durable restarts, command id packing).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "sim/simulator.hpp"
 #include "svc/run.hpp"
 #include "svc/workload.hpp"
 #include "sweep/scheduler.hpp"
@@ -35,32 +42,50 @@ SvcConfig smokeConfig(const std::string& engine) {
   return config;
 }
 
+// With 3 clients on 5 nodes, nodes 3 and 4 have no home clients: they
+// never propose, yet must join their peers' decrees reactively and apply
+// the whole log (allApplied checks every node).
 TEST(Svc, ThreeEngineSmoke) {
   for (const std::string engine : {"compose", "paxos", "raft"}) {
-    const SvcResult result = runSvc(smokeConfig(engine));
-    EXPECT_TRUE(result.prefixOk) << engine;
-    EXPECT_TRUE(result.exactlyOnce) << engine;
-    EXPECT_TRUE(result.allApplied) << engine;
-    EXPECT_FALSE(result.hitCap) << engine;
-    EXPECT_EQ(result.commandsCommitted, 40u) << engine;
-    EXPECT_EQ(result.commandsEmitted, 40u) << engine;
+    for (const std::uint64_t clients : {1000u, 3u}) {
+      SCOPED_TRACE(engine + " clients " + std::to_string(clients));
+      SvcConfig config = smokeConfig(engine);
+      config.workload.clients = clients;
+      const std::uint64_t commands = clients < config.n ? 24u : 40u;
+      const SvcResult result = runSvc(config);
+      EXPECT_TRUE(result.prefixOk);
+      EXPECT_TRUE(result.exactlyOnce);
+      EXPECT_TRUE(result.allApplied);
+      EXPECT_FALSE(result.hitCap);
+      EXPECT_EQ(result.commandsCommitted, commands);
+      EXPECT_EQ(result.commandsEmitted, commands);
+    }
   }
 }
 
 // Pipelining: a window-4 run must stay correct and commit the same command
-// set as the sequential window-1 discipline on the same workload.
+// set as the sequential window-1 discipline (batched or one command per
+// decree) on the same workload. Composed runs have no stop predicate, so
+// ending below the tick cap means the drained cluster quiesced on its
+// own; the decree bound rules out a tail of no-op decrees opened by idle
+// nodes.
 TEST(Svc, PipelineWindowCorrectness) {
   SvcConfig sequential = smokeConfig("compose");
   sequential.service.window = 1;
+  SvcConfig unbatched = sequential;
+  unbatched.service.batchMax = 1;
   SvcConfig pipelined = smokeConfig("compose");
   pipelined.service.window = 4;
-  const SvcResult a = runSvc(sequential);
-  const SvcResult b = runSvc(pipelined);
-  for (const SvcResult* r : {&a, &b}) {
-    EXPECT_TRUE(r->prefixOk);
-    EXPECT_TRUE(r->exactlyOnce);
-    EXPECT_TRUE(r->allApplied);
-    EXPECT_EQ(r->commandsCommitted, 40u);
+  for (const SvcConfig* config : {&sequential, &unbatched, &pipelined}) {
+    SCOPED_TRACE("window " + std::to_string(config->service.window) +
+                 " batch " + std::to_string(config->service.batchMax));
+    const SvcResult r = runSvc(*config);
+    EXPECT_TRUE(r.prefixOk);
+    EXPECT_TRUE(r.exactlyOnce);
+    EXPECT_TRUE(r.allApplied);
+    EXPECT_EQ(r.commandsCommitted, 40u);
+    EXPECT_FALSE(r.hitCap);
+    EXPECT_LE(r.decreesCommitted, 3 * r.commandsCommitted);
   }
 }
 
@@ -120,6 +145,224 @@ TEST(Svc, DurableRestartCatchesUp) {
     EXPECT_TRUE(result.exactlyOnce) << engine;
     EXPECT_FALSE(result.hitCap) << engine;
     EXPECT_GT(result.commandsCommitted, 0u) << engine;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The sequential replicated log: the service with window = 1 and
+// batchMax = 1 decides one command per decree, strictly in order (the E16
+// configuration: Ben-Or VAC + lottery, delay 1..8, every client command
+// arriving in the first ticks of the run). These tests build the cluster
+// from SvcNode directly, hosting the engine runSvc builds for
+// engine=compose, so they can compare every node's logs and read the tick
+// at which the run went quiet. There is no stop predicate: a run that
+// ends below the tick cap quiesced on its own.
+
+SvcConfig sequentialLog(std::size_t n, std::uint64_t commandsPerNode,
+                        std::uint64_t seed) {
+  SvcConfig config;
+  config.engine = "compose";
+  config.detector = "benor-vac";
+  config.driver = "lottery";
+  config.n = n;
+  config.seed = seed;
+  config.minDelay = 1;
+  config.maxDelay = 8;
+  config.service.window = 1;
+  config.service.batchMax = 1;
+  config.workload.commandsPerNode = commandsPerNode;
+  config.workload.closedLoop = false;
+  config.workload.arrivalsPerTick = 1.0;
+  config.maxTicks = 2'000'000;
+  return config;
+}
+
+struct LogRun {
+  std::vector<std::vector<Value>> applied;  ///< per node, commands only
+  std::vector<std::vector<Value>> decrees;  ///< per node, no-ops included
+  Tick endTick = 0;
+  bool hitCap = false;
+};
+
+LogRun runLog(const SvcConfig& config) {
+  SimConfig simConfig;
+  simConfig.seed = config.seed;
+  simConfig.maxTicks = config.maxTicks;
+  simConfig.lockstep = false;
+  UniformDelayNetwork::Options net;
+  net.minDelay = config.minDelay;
+  net.maxDelay = config.maxDelay;
+  Simulator sim(simConfig, std::make_unique<UniformDelayNetwork>(net));
+  const EngineFactory engine = composeEngineFactory(config);
+  std::vector<SvcNode*> nodes;
+  for (ProcessId id = 0; id < config.n; ++id) {
+    auto node = std::make_unique<SvcNode>(engine, config.workload, config.n,
+                                          config.seed, config.service);
+    nodes.push_back(node.get());
+    sim.addProcess(std::move(node));
+  }
+  for (const auto& [id, tick] : config.crashes) sim.crashAt(id, tick);
+  for (const RestartEvent& event : config.restarts)
+    sim.restartAt(event.id, event.at, event.downtime);
+  sim.run();
+
+  LogRun run;
+  for (const SvcNode* node : nodes) {
+    run.applied.push_back(node->applied());
+    run.decrees.push_back(node->decreeLog());
+  }
+  run.endTick = sim.now();
+  run.hitCap = sim.hitCap();
+  return run;
+}
+
+bool isPrefix(const std::vector<Value>& shorter,
+              const std::vector<Value>& longer) {
+  return shorter.size() <= longer.size() &&
+         std::equal(shorter.begin(), shorter.end(), longer.begin());
+}
+
+bool allDistinct(const std::vector<Value>& log) {
+  return std::set<Value>(log.begin(), log.end()).size() == log.size();
+}
+
+std::size_t commandsFrom(const std::vector<Value>& log, ProcessId home) {
+  return static_cast<std::size_t>(std::count_if(
+      log.begin(), log.end(),
+      [home](Value command) { return commandNode(command) == home; }));
+}
+
+// A drained cluster must stop on its own, promptly, without a tail of
+// no-op decrees opened after the last command.
+TEST(ReplicatedLog, DrainedClusterQuiesces) {
+  const LogRun run = runLog(sequentialLog(3, 4, /*seed=*/7));
+  ASSERT_FALSE(run.hitCap);
+  for (const auto& applied : run.applied) EXPECT_EQ(applied.size(), 12u);
+  EXPECT_LE(run.decrees[0].size(), 3 * 12u);
+  EXPECT_LT(run.endTick, 100'000u);
+}
+
+// Fault-free, every node ends with the same decree log and the same
+// applied log, holding each client command exactly once.
+TEST(ReplicatedLog, LogsIdenticalAndExactlyOnceFaultFree) {
+  struct Case {
+    std::size_t n;
+    std::uint64_t commandsPerNode;
+    std::uint64_t firstSeed, lastSeed;
+  };
+  for (const Case c : {Case{5, 3, 1, 8}, Case{4, 5, 1, 1}, Case{3, 3, 2, 8}}) {
+    for (std::uint64_t seed = c.firstSeed; seed <= c.lastSeed; ++seed) {
+      SCOPED_TRACE("n " + std::to_string(c.n) + " seed " +
+                   std::to_string(seed));
+      const LogRun run = runLog(sequentialLog(c.n, c.commandsPerNode, seed));
+      ASSERT_FALSE(run.hitCap);
+      for (std::size_t id = 1; id < c.n; ++id) {
+        EXPECT_EQ(run.decrees[id], run.decrees[0]);
+        EXPECT_EQ(run.applied[id], run.applied[0]);
+      }
+      EXPECT_EQ(run.applied[0].size(), c.n * c.commandsPerNode);
+      EXPECT_TRUE(allDistinct(run.applied[0]));
+    }
+  }
+}
+
+// A node with no home clients never proposes a command of its own; it
+// joins its peers' decrees reactively and still learns the full log.
+TEST(ReplicatedLog, IdleNodeJoinsReactively) {
+  SvcConfig config = sequentialLog(3, 4, /*seed=*/11);
+  // Only the closed loop draws from the homed population: clients 0 and 1
+  // live at nodes 0 and 1, and node 2 has none.
+  config.workload.closedLoop = true;
+  config.workload.clients = 2;
+  config.workload.thinkMin = 5;
+  config.workload.thinkMax = 40;
+  const LogRun run = runLog(config);
+  ASSERT_FALSE(run.hitCap);
+  EXPECT_EQ(run.decrees[2], run.decrees[0]);
+  EXPECT_EQ(run.applied[2], run.applied[0]);
+  EXPECT_EQ(run.applied[0].size(), 8u);
+  EXPECT_EQ(commandsFrom(run.applied[0], 2), 0u);
+}
+
+// A permanent crash freezes the crashed node's logs at a prefix of the
+// survivors' (decided decrees are final); the survivors' logs stay
+// identical and hold each survivor's commands exactly once.
+TEST(ReplicatedLog, CrashedNodeLogIsPrefixOfSurvivors) {
+  for (std::uint64_t seed = 20; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SvcConfig config = sequentialLog(5, 3, seed);
+    config.crashes = {{1, 120}};
+    const LogRun run = runLog(config);
+    ASSERT_FALSE(run.hitCap);
+    const auto& reference = run.applied[0];
+    EXPECT_TRUE(isPrefix(run.decrees[1], run.decrees[0]));
+    EXPECT_TRUE(isPrefix(run.applied[1], reference));
+    EXPECT_TRUE(allDistinct(reference));
+    for (ProcessId id = 2; id < 5; ++id) {
+      EXPECT_EQ(run.decrees[id], run.decrees[0]);
+      EXPECT_EQ(run.applied[id], reference);
+    }
+    for (const ProcessId survivor : {0u, 2u, 3u, 4u})
+      EXPECT_EQ(commandsFrom(reference, survivor), 3u) << survivor;
+  }
+}
+
+// A non-durable restart reboots the node with no journal. Its contract is
+// prefix agreement and no command applied twice; the never-faulted nodes
+// agree exactly. Durable catch-up is covered by Svc.DurableRestartCatchesUp.
+TEST(ReplicatedLog, RestartPreservesPrefixAgreement) {
+  for (std::uint64_t seed = 40; seed <= 43; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SvcConfig config = sequentialLog(5, 3, seed);
+    config.restarts.push_back({/*id=*/2, /*at=*/100, /*downtime=*/60});
+    const LogRun run = runLog(config);
+    ASSERT_FALSE(run.hitCap);
+    const std::vector<Value>* longest = &run.applied[0];
+    for (const auto& applied : run.applied)
+      if (applied.size() > longest->size()) longest = &applied;
+    for (ProcessId id = 0; id < 5; ++id) {
+      EXPECT_TRUE(isPrefix(run.applied[id], *longest)) << "node " << id;
+      EXPECT_TRUE(allDistinct(run.applied[id])) << "node " << id;
+    }
+    for (const ProcessId id : {1u, 3u, 4u}) {
+      EXPECT_EQ(run.decrees[id], run.decrees[0]);
+      EXPECT_EQ(run.applied[id], run.applied[0]);
+    }
+  }
+}
+
+// n = 5, t = 2: two nodes crash mid-stream. The three survivors' logs stay
+// identical, no command is applied twice, and every survivor's commands
+// commit; the crashed nodes' pending commands may be lost with their
+// clients.
+TEST(ReplicatedLog, SurvivesMinorityCrashes) {
+  SvcConfig config = sequentialLog(5, 4, /*seed=*/3);
+  config.crashes = {{0, 400}, {3, 900}};
+  const LogRun run = runLog(config);
+  ASSERT_FALSE(run.hitCap);
+  const auto& reference = run.applied[1];
+  for (const ProcessId id : {2u, 4u}) {
+    EXPECT_EQ(run.decrees[id], run.decrees[1]);
+    EXPECT_EQ(run.applied[id], reference);
+  }
+  for (const ProcessId id : {0u, 3u})
+    EXPECT_TRUE(isPrefix(run.applied[id], reference)) << id;
+  EXPECT_TRUE(allDistinct(reference));
+  for (const ProcessId survivor : {1u, 2u, 4u})
+    EXPECT_EQ(commandsFrom(reference, survivor), 4u) << survivor;
+}
+
+// Command ids pack (home node, sequence) and round-trip; 0 is the reserved
+// no-op, never minted; batch ids stay disjoint from command ids.
+TEST(ReplicatedLog, CommandPacking) {
+  for (const ProcessId node : {0u, 3u, 1000u}) {
+    for (const std::uint32_t seq : {0u, 17u, 0xFFFFFFFFu}) {
+      const Value command = makeCommand(node, seq);
+      EXPECT_EQ(commandNode(command), node);
+      EXPECT_GT(command, kNoopCommand);
+      EXPECT_NE(command, makeBatchId(node, seq));
+      EXPECT_EQ(batchNode(makeBatchId(node, seq)), node);
+    }
   }
 }
 
