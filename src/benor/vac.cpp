@@ -13,8 +13,8 @@ void BenOrVac::invoke(ObjectContext& ctx, Value v) {
     throw std::invalid_argument("Ben-Or requires t < n/2");
   input_ = v;
   invoked_ = true;
-  proposalSeen_.assign(ctx.processCount(), false);
-  reportSeen_.assign(ctx.processCount(), false);
+  proposalSenders_.reset(ctx.processCount());
+  reportSenders_.reset(ctx.processCount());
   ctx.fanout(makeMessage<ProposalMessage>(v));
 }
 
@@ -23,20 +23,16 @@ void BenOrVac::onMessage(ObjectContext& ctx, ProcessId from,
   if (!invoked_ || outcome_) return;
 
   if (const auto* proposal = inner.as<ProposalMessage>()) {
-    if (from >= proposalSeen_.size() || proposalSeen_[from]) return;
-    proposalSeen_[from] = true;
-    ++proposalCount_;
-    ++proposalTally_[proposal->value];
+    if (!proposalSenders_.insert(from)) return;
+    proposalTally_.add(proposal->value);
     maybeFinishPhaseOne(ctx);
     return;
   }
 
   if (const auto* report = inner.as<ReportMessage>()) {
-    if (from >= reportSeen_.size() || reportSeen_[from]) return;
-    reportSeen_[from] = true;
-    ++reportCount_;
+    if (!reportSenders_.insert(from)) return;
     if (report->ratify) {
-      ++ratifyTally_[report->value];
+      ratifyTally_.add(report->value);
       if (!anyRatified_) anyRatified_ = report->value;
     }
     maybeFinish();
@@ -45,17 +41,12 @@ void BenOrVac::onMessage(ObjectContext& ctx, ProcessId from,
 
 void BenOrVac::maybeFinishPhaseOne(ObjectContext& ctx) {
   const std::size_t n = ctx.processCount();
-  if (reportSent_ || proposalCount_ < n - t_) return;
+  if (reportSent_ || proposalSenders_.count() < n - t_) return;
   reportSent_ = true;
 
-  std::optional<Value> majority;
-  for (const auto& [value, count] : proposalTally_) {
-    if (2 * count > n) {
-      majority = value;
-      break;  // at most one value can exceed n/2
-    }
-  }
-  if (majority) {
+  // A strict majority of all n (count > floor(n/2) is 2 * count > n); at
+  // most one value can hold one.
+  if (const std::optional<Value> majority = proposalTally_.above(n / 2)) {
     ctx.fanout(makeMessage<ReportMessage>(/*ratify=*/true, *majority));
   } else {
     ctx.fanout(makeMessage<ReportMessage>(/*ratify=*/false, kNoValue));
@@ -64,14 +55,13 @@ void BenOrVac::maybeFinishPhaseOne(ObjectContext& ctx) {
 }
 
 void BenOrVac::maybeFinish() {
-  if (outcome_ || !reportSent_ || reportCount_ < proposalSeen_.size() - t_)
+  if (outcome_ || !reportSent_ ||
+      reportSenders_.count() < reportSenders_.universe() - t_)
     return;
 
-  for (const auto& [value, count] : ratifyTally_) {
-    if (count > t_) {
-      outcome_ = Outcome{Confidence::kCommit, value};
-      return;
-    }
+  if (const std::optional<Value> committed = ratifyTally_.above(t_)) {
+    outcome_ = Outcome{Confidence::kCommit, *committed};
+    return;
   }
   if (anyRatified_) {
     outcome_ = Outcome{Confidence::kAdopt, *anyRatified_};

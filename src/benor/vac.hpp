@@ -20,10 +20,9 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
 #include "core/objects.hpp"
+#include "core/tally.hpp"
 
 namespace ooc::benor {
 
@@ -51,12 +50,10 @@ class BenOrVac final : public AgreementDetector {
   bool reportSent_ = false;
   std::optional<Outcome> outcome_;
 
-  std::vector<bool> proposalSeen_;  // sender dedup, phase 1
-  std::vector<bool> reportSeen_;    // sender dedup, phase 2
-  std::size_t proposalCount_ = 0;
-  std::size_t reportCount_ = 0;
-  std::unordered_map<Value, std::size_t> proposalTally_;
-  std::unordered_map<Value, std::size_t> ratifyTally_;
+  SenderSet proposalSenders_;  // sender dedup, phase 1
+  SenderSet reportSenders_;    // sender dedup, phase 2
+  ValueTally proposalTally_;
+  ValueTally ratifyTally_;
   std::optional<Value> anyRatified_;
 };
 

@@ -84,8 +84,27 @@ ResolvedComposition resolve(const Composition& composition) {
   if (!composition.crashes.empty() && resolved.lockstep)
     throw std::invalid_argument(
         "lockstep compositions take Byzantine plants, not crash schedules");
+  if (const auto diagnostic =
+          unknownCrashProcess(composition.crashes, composition.n)) {
+    throw std::invalid_argument(*diagnostic);
+  }
   return resolved;
 }
+
+namespace {
+
+/// The shared tail of every parse path. A crash entry naming no process is
+/// malformed input and fails like any other parse error; a pairing the
+/// registry rejects fails with the CLI's diagnostic.
+void checkParsed(const Composition& composition) {
+  if (const auto diagnostic =
+          unknownCrashProcess(composition.crashes, composition.n)) {
+    throw std::runtime_error(*diagnostic);
+  }
+  resolve(composition);
+}
+
+}  // namespace
 
 Composition parseSpec(const std::string& spec, const std::string& oracle,
                       const fd::OracleKnobs& oracleKnobs) {
@@ -202,7 +221,7 @@ Composition parseComposition(const std::string& text) {
   composition.oracleKnobs.lieAboutBound = kv.getU64("oracle-lie", 0) != 0;
   // Same gate as the CLI: a pairing the registry rejects must not load
   // from a file either, and with the identical diagnostic.
-  resolve(composition);
+  checkParsed(composition);
   return composition;
 }
 
@@ -555,7 +574,7 @@ Composition fromJson(const std::string& text) {
       throw std::runtime_error("json: unknown composition key '" + key + "'");
     }
   }
-  resolve(composition);  // identical diagnostic to every other parse path
+  checkParsed(composition);  // identical diagnostic to every other parse path
   return composition;
 }
 

@@ -84,6 +84,16 @@ std::pair<ProcessId, Tick> parseCrash(const std::string& entry) {
   return {static_cast<ProcessId>(*id), *tick};
 }
 
+std::optional<std::string> unknownCrashProcess(
+    const std::vector<std::pair<ProcessId, Tick>>& crashes, std::size_t n) {
+  for (const auto& crash : crashes) {
+    if (crash.first >= n)
+      return "crash '" + crashEntry(crash) + "' names process " +
+             std::to_string(crash.first) + ", but n=" + std::to_string(n);
+  }
+  return std::nullopt;
+}
+
 void putAdversary(KvWriter& kv, const AdversaryOptions& adversary) {
   kv.put("adversary-budget", adversary.extraDelayMax);
   kv.put("adversary-prob", adversary.perturbProbability);

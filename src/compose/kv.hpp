@@ -98,6 +98,11 @@ std::optional<std::uint64_t> parseEntryU64(std::string_view field);
 std::string crashEntry(const std::pair<ProcessId, Tick>& crash);
 std::pair<ProcessId, Tick> parseCrash(const std::string& entry);
 
+/// Diagnostic naming the first crash entry whose process id is not below
+/// `n`, or nullopt when every entry names a real process.
+std::optional<std::string> unknownCrashProcess(
+    const std::vector<std::pair<ProcessId, Tick>>& crashes, std::size_t n);
+
 /// Delay-adversary triple (`adversary-budget/-prob/-seed`), shared by every
 /// asynchronous family's serializer.
 void putAdversary(KvWriter& kv, const AdversaryOptions& adversary);

@@ -60,8 +60,8 @@ ConsensusProcess::ConsensusProcess(Value input,
     : value_(input),
       detectorFactory_(std::move(detectorFactory)),
       driverFactory_(std::move(driverFactory)),
-      options_(options),
-      scheduler_(makeRoundScheduler(options.scheduling)) {
+      options_(std::move(options)),
+      scheduler_(makeRoundScheduler(options_.scheduling)) {
   if (!detectorFactory_)
     throw std::invalid_argument("detector factory is required");
   if (!driverFactory_)
@@ -329,9 +329,9 @@ void ConsensusProcess::dispatch(ProcessId from, const TaggedMessage& tagged) {
 void ConsensusProcess::replayBuffered() {
   // Deliver buffered messages now addressed to a live object, in arrival
   // order. New messages are never added during replay (objects only
-  // consume here), so a single compaction pass suffices.
-  std::vector<BufferedMessage> keep;
-  keep.reserve(buffered_.size());
+  // consume here), so a single in-place compaction pass suffices, and the
+  // buffer keeps its capacity for the next round.
+  std::size_t kept = 0;
   for (auto& entry : buffered_) {
     Driver* looseTarget = nullptr;
     if (entry.stage == Stage::kDrive) {
@@ -359,11 +359,11 @@ void ConsensusProcess::replayBuffered() {
     } else if (entry.round > round_ ||
                (entry.round == round_ && stage_ == Stage::kDetect &&
                 entry.stage == Stage::kDrive)) {
-      keep.push_back(std::move(entry));
+      buffered_[kept++] = std::move(entry);
     }
     // else: stale, drop
   }
-  buffered_ = std::move(keep);
+  buffered_.resize(kept);
 }
 
 void ConsensusProcess::pruneBufferedAfterDecide() {

@@ -89,6 +89,8 @@ RoundAudit auditRound(const std::vector<Value>& inputs,
 RoundView collectRound(const std::vector<const ConsensusProcess*>& processes,
                        Round m) {
   RoundView view;
+  view.inputs.reserve(processes.size());
+  view.outcomes.reserve(processes.size());
   for (const ConsensusProcess* process : processes) {
     const auto& rounds = process->rounds();
     if (m == 0 || rounds.size() < m) continue;  // never started round m

@@ -171,6 +171,9 @@ BenOrConfig parseBenOrConfig(const std::string& text) {
   config.maxTicks = kv.getU64("max-ticks", config.maxTicks);
   config.adversary = getAdversary(kv);
   config.fault = parseFault(kv.get("fault", "none"));
+  if (const auto diagnostic =
+          compose::unknownCrashProcess(config.crashes, config.n))
+    throw std::runtime_error(*diagnostic);
   return config;
 }
 
@@ -303,6 +306,10 @@ RaftScenarioConfig parseRaftConfig(const std::string& text) {
     event.id = static_cast<ProcessId>(std::stoul(entry.substr(0, at)));
     event.at = std::stoull(entry.substr(at + 1, plus - at - 1));
     event.downtime = std::stoull(entry.substr(plus + 1));
+    if (event.id >= config.n)
+      throw std::runtime_error("restart '" + entry + "' names process " +
+                               std::to_string(event.id) + ", but n=" +
+                               std::to_string(config.n));
     config.restarts.push_back(event);
   }
   config.raft.durable =
@@ -316,6 +323,9 @@ RaftScenarioConfig parseRaftConfig(const std::string& text) {
       kv.getDouble("corrupt-prob", config.raft.storage.corruptProbability);
   config.adversary = getAdversary(kv);
   config.maxTicks = kv.getU64("max-ticks", config.maxTicks);
+  if (const auto diagnostic =
+          compose::unknownCrashProcess(config.crashes, config.n))
+    throw std::runtime_error(*diagnostic);
   return config;
 }
 

@@ -12,8 +12,8 @@ void PhaseKingAc::invoke(ObjectContext& ctx, Value v) {
   if (3 * t_ >= ctx.processCount())
     throw std::invalid_argument("Phase-King requires 3t < n");
   value_ = v;
-  seenExchange1_.assign(ctx.processCount(), false);
-  seenExchange2_.assign(ctx.processCount(), false);
+  exchange1Senders_.reset(ctx.processCount());
+  exchange2Senders_.reset(ctx.processCount());
   ctx.fanout(makeMessage<ExchangeMessage>(1, v));
 }
 
@@ -23,13 +23,11 @@ void PhaseKingAc::onMessage(ObjectContext&, ProcessId from,
   if (exchange == nullptr || outcome_) return;
 
   if (exchange->exchange == 1) {
-    if (from >= seenExchange1_.size() || seenExchange1_[from]) return;
-    seenExchange1_[from] = true;
+    if (!exchange1Senders_.insert(from)) return;
     if (exchange->value == 0 || exchange->value == 1)
       ++countC_[static_cast<std::size_t>(exchange->value)];
   } else if (exchange->exchange == 2) {
-    if (from >= seenExchange2_.size() || seenExchange2_[from]) return;
-    seenExchange2_[from] = true;
+    if (!exchange2Senders_.insert(from)) return;
     if (exchange->value >= 0 && exchange->value <= 2)
       ++countD_[static_cast<std::size_t>(exchange->value)];
   }

@@ -28,9 +28,9 @@
 #include <array>
 #include <cstddef>
 #include <optional>
-#include <vector>
 
 #include "core/objects.hpp"
+#include "core/tally.hpp"
 
 namespace ooc::phaseking {
 
@@ -54,8 +54,8 @@ class PhaseKingAc final : public AgreementDetector {
   int ticksSeen_ = 0;
   std::optional<Outcome> outcome_;
 
-  std::vector<bool> seenExchange1_;
-  std::vector<bool> seenExchange2_;
+  SenderSet exchange1Senders_;
+  SenderSet exchange2Senders_;
   std::array<std::size_t, 2> countC_{};  // C(0), C(1)
   std::array<std::size_t, 3> countD_{};  // D(0), D(1), D(2)
 };

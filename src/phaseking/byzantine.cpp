@@ -1,5 +1,6 @@
 #include "phaseking/byzantine.hpp"
 
+#include <array>
 #include <memory>
 
 #include "core/tagged_message.hpp"
@@ -30,6 +31,14 @@ void PhaseKingByzantine::act(Tick tick) {
   const auto round = static_cast<Round>(tick / 3 + 1);
   const int slot = static_cast<int>(tick % 3);  // 0: ex1, 1: ex2, 2: king
   const std::size_t n = ctx().processCount();
+  // Every strategy sends values in {0, 1, 2}. Recipients told the same
+  // value in one slot share one payload, like the recipients of a fanout.
+  std::array<MessagePtr, 3> forged;
+  const auto emit = [&](ProcessId dest, int exchange, Value value) {
+    MessagePtr& payload = forged.at(static_cast<std::size_t>(value));
+    if (!payload) payload = forge(round, exchange, value);
+    ctx().post(dest, payload);
+  };
 
   if (slot == 2) {
     // King slot. Sending a forged king message is only effective when this
@@ -50,14 +59,14 @@ void PhaseKingByzantine::act(Tick tick) {
           v = dest < n / 2 ? 0 : 1;
           break;
       }
-      emit(dest, round, /*exchange=*/3, v);
+      emit(dest, /*exchange=*/3, v);
     }
     return;
   }
 
   const int exchange = slot + 1;
   for (ProcessId dest = 0; dest < n; ++dest)
-    emit(dest, round, exchange, pick(dest, exchange));
+    emit(dest, exchange, pick(dest, exchange));
 }
 
 Value PhaseKingByzantine::pick(ProcessId dest, int exchange) {
@@ -77,22 +86,16 @@ Value PhaseKingByzantine::pick(ProcessId dest, int exchange) {
   return 0;
 }
 
-void PhaseKingByzantine::emit(ProcessId dest, Round round, int exchange,
-                              Value value) {
-  if (wire_ == Wire::kClassic) {
-    ctx().post(dest, makeMessage<ClassicPkMessage>(round, exchange, value));
-    return;
-  }
-  MessagePtr inner;
-  Stage stage = Stage::kDetect;
-  if (exchange == 3) {
-    inner = makeMessage<KingMessage>(value);
-    stage = Stage::kDrive;
-  } else {
-    inner = makeMessage<ExchangeMessage>(exchange, value);
-  }
-  ctx().post(dest,
-             makeMessage<TaggedMessage>(round, stage, std::move(inner)));
+MessagePtr PhaseKingByzantine::forge(Round round, int exchange,
+                                     Value value) const {
+  if (wire_ == Wire::kClassic)
+    return makeMessage<ClassicPkMessage>(round, exchange, value);
+  if (exchange == 3)
+    return makeMessage<TaggedMessage>(round, Stage::kDrive,
+                                      makeMessage<KingMessage>(value));
+  return makeMessage<TaggedMessage>(round, Stage::kDetect,
+                                    makeMessage<ExchangeMessage>(exchange,
+                                                                 value));
 }
 
 }  // namespace ooc::phaseking

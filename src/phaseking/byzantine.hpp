@@ -46,7 +46,9 @@ class PhaseKingByzantine final : public Process {
 
  private:
   void act(Tick tick);
-  void emit(ProcessId dest, Round round, int exchange, Value value);
+  /// The forged payload for one (round, exchange, value); exchange 3 is
+  /// the king slot.
+  MessagePtr forge(Round round, int exchange, Value value) const;
   Value pick(ProcessId dest, int exchange);
 
   ByzantineStrategy strategy_;

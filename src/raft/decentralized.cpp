@@ -11,8 +11,8 @@ void DecentralizedRaftVac::invoke(ObjectContext& ctx, Value v) {
   if (2 * t_ >= ctx.processCount())
     throw std::invalid_argument("decentralized raft requires t < n/2");
   input_ = v;
-  proposalSeen_.assign(ctx.processCount(), false);
-  commitSeen_.assign(ctx.processCount(), false);
+  proposalSenders_.reset(ctx.processCount());
+  commitSenders_.reset(ctx.processCount());
   ctx.fanout(makeMessage<DecProposeMessage>(v));
 }
 
@@ -21,20 +21,16 @@ void DecentralizedRaftVac::onMessage(ObjectContext& ctx, ProcessId from,
   if (outcome_) return;
 
   if (const auto* propose = inner.as<DecProposeMessage>()) {
-    if (from >= proposalSeen_.size() || proposalSeen_[from]) return;
-    proposalSeen_[from] = true;
-    ++proposalCount_;
-    ++proposalTally_[propose->value];
+    if (!proposalSenders_.insert(from)) return;
+    proposalTally_.add(propose->value);
     maybeFinishProposals(ctx);
     return;
   }
 
   if (const auto* commit = inner.as<DecCommitMessage>()) {
-    if (from >= commitSeen_.size() || commitSeen_[from]) return;
-    commitSeen_[from] = true;
-    ++commitPhaseCount_;
+    if (!commitSenders_.insert(from)) return;
     if (commit->commit) {
-      ++commitTally_[commit->value];
+      commitTally_.add(commit->value);
       if (!anyCommitSeen_) anyCommitSeen_ = commit->value;
     }
     maybeFinish();
@@ -43,16 +39,11 @@ void DecentralizedRaftVac::onMessage(ObjectContext& ctx, ProcessId from,
 
 void DecentralizedRaftVac::maybeFinishProposals(ObjectContext& ctx) {
   const std::size_t n = ctx.processCount();
-  if (commitPhaseSent_ || proposalCount_ < n - t_) return;
+  if (commitPhaseSent_ || proposalSenders_.count() < n - t_) return;
   commitPhaseSent_ = true;
 
-  std::optional<Value> majority;
-  for (const auto& [value, count] : proposalTally_) {
-    if (2 * count > n) {
-      majority = value;
-      break;
-    }
-  }
+  // Strict majority of all n: count > floor(n/2) is 2 * count > n.
+  const std::optional<Value> majority = proposalTally_.above(n / 2);
   ctx.fanout(majority ? makeMessage<DecCommitMessage>(true, *majority)
                       : makeMessage<DecCommitMessage>(false, kNoValue));
   maybeFinish();
@@ -60,14 +51,12 @@ void DecentralizedRaftVac::maybeFinishProposals(ObjectContext& ctx) {
 
 void DecentralizedRaftVac::maybeFinish() {
   if (outcome_ || !commitPhaseSent_ ||
-      commitPhaseCount_ < proposalSeen_.size() - t_) {
+      commitSenders_.count() < commitSenders_.universe() - t_) {
     return;
   }
-  for (const auto& [value, count] : commitTally_) {
-    if (count > t_) {
-      outcome_ = Outcome{Confidence::kCommit, value};
-      return;
-    }
+  if (const std::optional<Value> committed = commitTally_.above(t_)) {
+    outcome_ = Outcome{Confidence::kCommit, *committed};
+    return;
   }
   if (anyCommitSeen_) {
     outcome_ = Outcome{Confidence::kAdopt, *anyCommitSeen_};

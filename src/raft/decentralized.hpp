@@ -21,10 +21,9 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "core/objects.hpp"
+#include "core/tally.hpp"
 
 namespace ooc::raft {
 
@@ -66,12 +65,10 @@ class DecentralizedRaftVac final : public AgreementDetector {
   bool commitPhaseSent_ = false;
   std::optional<Outcome> outcome_;
 
-  std::vector<bool> proposalSeen_;
-  std::vector<bool> commitSeen_;
-  std::size_t proposalCount_ = 0;
-  std::size_t commitPhaseCount_ = 0;
-  std::unordered_map<Value, std::size_t> proposalTally_;
-  std::unordered_map<Value, std::size_t> commitTally_;
+  SenderSet proposalSenders_;
+  SenderSet commitSenders_;
+  ValueTally proposalTally_;
+  ValueTally commitTally_;
   std::optional<Value> anyCommitSeen_;
 };
 

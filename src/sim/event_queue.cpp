@@ -41,12 +41,18 @@ EventQueue::EventQueue() {
 }
 
 EventQueue::~EventQueue() {
-  for (Bucket& bucket : ring_) bucket.reset();  // keeps lane capacity
   auto& pool = arena().rings;
   // A handful of live queues per thread is the realistic maximum (nested
   // simulations do not exist); cap the pool so pathological use cannot
   // hoard memory.
-  if (pool.size() < 4) pool.push_back(std::move(ring_));
+  if (pool.size() >= 4) return;
+  // Only [cursor, highest bucketed tick] can hold events or stale drain
+  // positions: the cursor reset every bucket it moved past. Bucketed ticks
+  // always lie below cursor + kWindow, so the span never wraps the ring.
+  const Tick last = std::max(cursor_, highestBucketed_);
+  for (Tick tick = cursor_; tick <= last; ++tick)
+    ring_[tick & kMask].reset();  // keeps lane capacity
+  pool.push_back(std::move(ring_));
 }
 
 void EventQueue::drainThreadArena() noexcept { arena().rings.clear(); }
@@ -55,51 +61,34 @@ std::size_t EventQueue::threadArenaSize() noexcept {
   return arena().rings.size();
 }
 
-void EventQueue::push(SimEvent event) {
-  event.seq = nextSeq_++;
-  if (event.at < cursor_) event.at = cursor_;
-  if (event.at - cursor_ < kWindow) {
-    Bucket& bucket = ring_[event.at & kMask];
-    bucket.lanes[event.phase].push_back(std::move(event));
-    ++ringCount_;
-  } else {
-    overflow_.push_back(std::move(event));
-    std::push_heap(overflow_.begin(), overflow_.end(), OverflowOrder{});
+bool EventQueue::threadArenaClean() noexcept {
+  for (const auto& ring : arena().rings) {
+    for (const Bucket& bucket : ring) {
+      if (!bucket.lanes[0].empty() || !bucket.lanes[1].empty() ||
+          bucket.next[0] != 0 || bucket.next[1] != 0)
+        return false;
+    }
   }
-  ++size_;
+  return true;
 }
 
-bool EventQueue::pop(SimEvent& out) {
-  if (size_ == 0) return false;
+void EventQueue::pushOverflow(SimEvent&& event) {
+  overflow_.push_back(std::move(event));
+  std::push_heap(overflow_.begin(), overflow_.end(), OverflowOrder{});
+}
+
+bool EventQueue::popAdvancing(SimEvent& out) {
   for (;;) {
+    ring_[cursor_ & kMask].reset();
     if (ringCount_ == 0) {
       // Everything left is beyond the window: jump the cursor to the
-      // overflow's minimum tick instead of walking empty buckets. The
-      // current bucket is drained but not yet reset (its last event was
-      // popped on the previous call); reset it before the jump so no
-      // stale drain positions survive.
-      ring_[cursor_ & kMask].reset();
+      // overflow's minimum tick instead of walking empty buckets.
       cursor_ = overflow_.front().at;
-      refill();
-      continue;
+    } else {
+      ++cursor_;
     }
-    Bucket& bucket = ring_[cursor_ & kMask];
-    // Normal lane strictly before the barrier lane — and re-checked after
-    // every pop, so normal events appended while the barrier of the same
-    // tick executes (onTick handlers sending with delay 0 clamped to the
-    // cursor) are drained before any later barrier entry, exactly like
-    // the old heap's (tick, phase, seq) order.
-    for (int lane = 0; lane < 2; ++lane) {
-      if (bucket.next[lane] < bucket.lanes[lane].size()) {
-        out = std::move(bucket.lanes[lane][bucket.next[lane]++]);
-        --ringCount_;
-        --size_;
-        return true;
-      }
-    }
-    bucket.reset();
-    ++cursor_;
     refill();
+    if (takeFrom(ring_[cursor_ & kMask], out)) return true;
   }
 }
 
@@ -108,9 +97,7 @@ void EventQueue::refill() {
     std::pop_heap(overflow_.begin(), overflow_.end(), OverflowOrder{});
     SimEvent event = std::move(overflow_.back());
     overflow_.pop_back();
-    Bucket& bucket = ring_[event.at & kMask];
-    bucket.lanes[event.phase].push_back(std::move(event));
-    ++ringCount_;
+    bucketize(std::move(event));
   }
 }
 

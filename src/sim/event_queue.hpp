@@ -21,11 +21,19 @@
 // bucket lanes (which retain capacity across ticks), and the bucket
 // storage itself is checked out of a thread-local arena on construction
 // and returned cleared on destruction — a model-checker worker thread
-// reuses one warm arena across every configuration it sweeps.
+// reuses one warm arena across every configuration it sweeps. Teardown
+// clears only the buckets the run could have touched ([cursor, highest
+// bucketed tick]); every bucket behind the cursor was already reset when
+// the cursor passed it.
+//
+// The common cases — a push inside the window, a pop from the cursor's
+// bucket — are inline below; overflow pushes and cursor advances are out
+// of line in event_queue.cpp.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/message.hpp"
@@ -34,8 +42,9 @@
 
 namespace ooc {
 
-/// One scheduled simulator event. Plain value type; `message` is a shared
-/// immutable payload (broadcast fan-out and duplication faults alias it).
+/// One scheduled simulator event (56 bytes on LP64). Plain value type;
+/// `message` is a shared immutable payload (broadcast fan-out and
+/// duplication faults alias it).
 struct SimEvent {
   enum class Kind : std::uint8_t {
     kStart,
@@ -84,11 +93,23 @@ class EventQueue {
   /// Enqueues `event`, assigning its seq. Ticks earlier than the cursor
   /// (never produced by the simulator: every delay is >= 1) are clamped to
   /// the cursor, i.e. executed as soon as possible.
-  void push(SimEvent event);
+  void push(SimEvent&& event) {
+    event.seq = nextSeq_++;
+    if (event.at < cursor_) event.at = cursor_;
+    ++size_;
+    if (event.at - cursor_ >= kWindow) {
+      pushOverflow(std::move(event));
+      return;
+    }
+    bucketize(std::move(event));
+  }
 
   /// Moves the earliest event (by tick, then phase, then seq) into `out`.
   /// Returns false when the queue is empty.
-  bool pop(SimEvent& out);
+  bool pop(SimEvent& out) {
+    if (size_ == 0) return false;
+    return takeFrom(ring_[cursor_ & kMask], out) || popAdvancing(out);
+  }
 
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
@@ -100,6 +121,10 @@ class EventQueue {
   /// Bucket rings currently pooled in this thread's arena (test hook: the
   /// arena-reuse stress asserts the pool stays bounded by its cap).
   static std::size_t threadArenaSize() noexcept;
+
+  /// True when every pooled ring is fully reset — empty lanes, zero drain
+  /// positions (test hook for the touched-range teardown).
+  static bool threadArenaClean() noexcept;
 
   /// Internal bucket layout; public only so the thread-local arena can
   /// store rings of them.
@@ -120,6 +145,35 @@ class EventQueue {
  private:
   static constexpr std::size_t kMask = kWindow - 1;
 
+  /// Appends an in-window event to its tick's bucket.
+  void bucketize(SimEvent&& event) {
+    if (event.at > highestBucketed_) highestBucketed_ = event.at;
+    ring_[event.at & kMask].lanes[event.phase].push_back(std::move(event));
+    ++ringCount_;
+  }
+
+  /// Takes the bucket's next event: the normal lane strictly before the
+  /// barrier lane, re-checked on every pop, so normal events appended
+  /// while the barrier of the same tick executes (onTick handlers sending
+  /// with delay 0 clamped to the cursor) are drained before any later
+  /// barrier entry, exactly like the old heap's (tick, phase, seq) order.
+  bool takeFrom(Bucket& bucket, SimEvent& out) noexcept {
+    for (int lane = 0; lane < 2; ++lane) {
+      if (bucket.next[lane] < bucket.lanes[lane].size()) {
+        out = std::move(bucket.lanes[lane][bucket.next[lane]++]);
+        --ringCount_;
+        --size_;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void pushOverflow(SimEvent&& event);
+  /// The cursor's bucket is drained: advances the cursor to the next
+  /// populated tick and pops from it. Requires a non-empty queue.
+  bool popAdvancing(SimEvent& out);
+
   /// Pulls every overflow event that now falls inside the window into its
   /// bucket. Overflow pops come out in (at, phase, seq) order and the
   /// window slides monotonically, so lane append order stays seq order.
@@ -128,6 +182,7 @@ class EventQueue {
   std::vector<Bucket> ring_;       // kWindow buckets, index = tick & kMask
   std::vector<SimEvent> overflow_;  // min-heap on (at, phase, seq)
   Tick cursor_ = 0;                // lowest possibly-populated tick
+  Tick highestBucketed_ = 0;       // highest tick ever placed in the ring
   std::size_t ringCount_ = 0;      // undrained events in the ring
   std::size_t size_ = 0;
   std::uint64_t nextSeq_ = 0;

@@ -91,8 +91,10 @@ void Simulator::setValidValues(std::vector<Value> values) {
 }
 
 void Simulator::crashAt(ProcessId id, Tick tick) {
+  if (id >= processes_.size())
+    throw std::out_of_range("crashAt: unknown process");
   schedule(tick, [this, id] {
-    if (id < processes_.size() && !processes_[id].crashed) {
+    if (!processes_[id].crashed) {
       processes_[id].crashed = true;
       OOC_DEBUG("p", id, " crashed at tick ", now_);
     }
@@ -129,15 +131,18 @@ void Simulator::schedule(Tick tick, std::function<void()> action) {
 void Simulator::setStopPredicate(
     std::function<bool(const Simulator&)> predicate) {
   stopPredicate_ = std::move(predicate);
+  stopOnAllDecided_ = false;
+  stopDue_ = false;
 }
 
 void Simulator::stopWhenAllCorrectDecided() {
-  setStopPredicate(
-      [](const Simulator& sim) { return sim.allCorrectDecided(); });
+  stopPredicate_ = nullptr;
+  stopOnAllDecided_ = true;
+  refreshStopDue();
 }
 
-bool Simulator::shouldStop() const {
-  return stopPredicate_ && stopPredicate_(*this);
+void Simulator::refreshStopDue() {
+  stopDue_ = stopOnAllDecided_ && allCorrectDecided();
 }
 
 void Simulator::run() {
@@ -162,9 +167,11 @@ void Simulator::run() {
     queue_.push(std::move(barrier));
   }
 
+  // Processes may have been added after stopWhenAllCorrectDecided().
+  refreshStopDue();
   SimEvent event;
   while (!queue_.empty()) {
-    if (shouldStop()) return;
+    if (stopDue_ || (stopPredicate_ && stopPredicate_(*this))) return;
     if (eventsProcessed_ >= config_.maxEvents) {
       hitCap_ = true;
       return;
@@ -213,7 +220,10 @@ void Simulator::run() {
         break;
       }
       case SimEvent::Kind::kControl:
+        // An action may crash a process (crashAt) or touch anything else
+        // the all-decided verdict reads.
         controlActions_[static_cast<std::size_t>(event.timer)]();
+        refreshStopDue();
         break;
       case SimEvent::Kind::kCrash: {
         Slot& slot = processes_[event.target];
@@ -224,6 +234,7 @@ void Simulator::run() {
           // inert, exactly like cancellation).
           purgeTimersOf(event.target);
           slot.process->onCrash();
+          refreshStopDue();
           OOC_DEBUG("p", event.target, " crashed (restarting) at tick ", now_);
         }
         break;
@@ -235,6 +246,7 @@ void Simulator::run() {
           ++slot.incarnation;
           ++restarts_;
           slot.process->onRestart();
+          refreshStopDue();
           OOC_DEBUG("p", event.target, " restarted at tick ", now_,
                     " (incarnation ", slot.incarnation, ")");
         }
@@ -438,6 +450,7 @@ void Simulator::recordDecision(ProcessId id, Value v) {
   decision.decided = true;
   decision.value = v;
   decision.at = now_;
+  refreshStopDue();
   OOC_DEBUG("p", id, " decided ", v, " at tick ", now_);
   if (observer_) {
     TraceEvent out;

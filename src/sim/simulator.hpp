@@ -10,12 +10,15 @@
 // The simulator doubles as the consensus run monitor: processes report
 // decisions through Context::decide, and the simulator checks agreement and
 // validity online and provides the customary "all correct processes have
-// decided" stop condition.
+// decided" stop condition (a cached verdict refreshed only when a
+// decision, crash, restart or control action could change it, so the
+// per-event check is one flag test).
 //
 // Hot-path layout (see DESIGN.md §8): events live in a tick-bucketed
 // calendar queue (sim/event_queue.hpp) instead of a binary heap, payloads
-// are refcounted and shared across fan-out and duplication (sim/message.hpp)
-// so the non-fault delivery path performs zero message copies, timer
+// are shared through thread-confined intrusive handles across fan-out and
+// duplication (sim/message.hpp) so the non-fault delivery path performs
+// zero message copies and no atomic operations, timer
 // ownership is a dense windowed table instead of a hash map, and trace text
 // (Message::describe) is rendered only for observers that opted in.
 #pragma once
@@ -66,7 +69,8 @@ class Simulator final {
   void setValidValues(std::vector<Value> values);
 
   /// Schedules a crash: from `tick` on, the process executes no handlers,
-  /// receives no messages, and sends nothing.
+  /// receives no messages, and sends nothing. Throws std::out_of_range for
+  /// an id that names no registered process.
   void crashAt(ProcessId id, Tick tick);
 
   /// Schedules a crash at `crashTick` followed by a restart `downtime` ticks
@@ -83,11 +87,14 @@ class Simulator final {
 
   /// Stops the run when `predicate(*this)` is true (checked after every
   /// event). Without a predicate the run ends when the event queue drains
-  /// or a cap is hit.
+  /// or a cap is hit. Replaces any earlier stop condition, including
+  /// stopWhenAllCorrectDecided().
   void setStopPredicate(std::function<bool(const Simulator&)> predicate);
 
-  /// Convenience: stop once every correct (non-faulty, non-crashed) process
-  /// has decided.
+  /// Stops the run once every correct (non-faulty, non-crashed) process
+  /// has decided — the same events as an allCorrectDecided() predicate,
+  /// but re-evaluated only when a decision, crash, restart or control
+  /// action changes its inputs. Replaces any stop predicate.
   void stopWhenAllCorrectDecided();
 
   /// Attaches a scheduler observer (non-owning; must outlive the run): every
@@ -176,7 +183,8 @@ class Simulator final {
   /// Releases a timer slot (fire or cancel) and compacts the table when the
   /// window has gone fully or mostly dead.
   void releaseTimer(TimerId id) noexcept;
-  bool shouldStop() const;
+  /// Recomputes the built-in all-decided verdict (no-op when unused).
+  void refreshStopDue();
 
   SimConfig config_;
   std::unique_ptr<NetworkModel> network_;
@@ -247,6 +255,9 @@ class Simulator final {
   std::uint64_t timersPurgedOnCrash_ = 0;
 
   std::function<bool(const Simulator&)> stopPredicate_;
+  /// stopWhenAllCorrectDecided() is in force, and its cached verdict.
+  bool stopOnAllDecided_ = false;
+  bool stopDue_ = false;
   std::vector<Tick> scratchDelays_;
   ScheduleObserver* observer_ = nullptr;
 };

@@ -25,6 +25,24 @@ std::uint64_t decreeSeed(std::uint64_t seed, std::uint64_t decree) noexcept {
   return seed ^ (0x9E3779B97F4A7C15ull * (decree + 1));
 }
 
+std::string restartEntry(const RestartEvent& event) {
+  return std::to_string(event.id) + "@" + std::to_string(event.at) + "+" +
+         std::to_string(event.downtime);
+}
+
+/// Diagnostic naming the first crash or restart entry whose process id is
+/// not below n; nullopt when every entry names a real process.
+std::optional<std::string> unknownFaultProcess(const SvcConfig& config) {
+  if (auto diagnostic = compose::unknownCrashProcess(config.crashes, config.n))
+    return diagnostic;
+  for (const RestartEvent& event : config.restarts) {
+    if (event.id >= config.n)
+      return "restart '" + restartEntry(event) + "' names process " +
+             std::to_string(event.id) + ", but n=" + std::to_string(config.n);
+  }
+  return std::nullopt;
+}
+
 bool prefixEqual(const std::vector<Value>& a, const std::vector<Value>& b) {
   const std::size_t common = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < common; ++i)
@@ -143,6 +161,8 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
   if (const auto rejected = validateEngine(config))
     throw std::invalid_argument(*rejected);
   if (config.n == 0) throw std::invalid_argument("svc: n must be positive");
+  if (const auto diagnostic = unknownFaultProcess(config))
+    throw std::invalid_argument(*diagnostic);
 
   const std::size_t n = config.n;
 
@@ -417,11 +437,8 @@ std::string serializeSvcConfig(const SvcConfig& config) {
   kv.put("max-delay", config.maxDelay);
   for (const auto& crash : config.crashes)
     kv.put("crash", compose::crashEntry(crash));
-  for (const RestartEvent& event : config.restarts) {
-    kv.put("restart", std::to_string(event.id) + "@" +
-                          std::to_string(event.at) + "+" +
-                          std::to_string(event.downtime));
-  }
+  for (const RestartEvent& event : config.restarts)
+    kv.put("restart", restartEntry(event));
   compose::putAdversary(kv, config.adversary);
   kv.put("max-rounds", static_cast<std::uint64_t>(config.maxRoundsPerDecree));
   kv.put("max-ticks", config.maxTicks);
@@ -519,6 +536,9 @@ SvcConfig parseSvcConfig(const std::string& text) {
   config.raftElectionMax = kv.getU64("election-max", config.raftElectionMax);
   config.raftHeartbeat = kv.getU64("heartbeat", config.raftHeartbeat);
   config.resubmitEvery = kv.getU64("resubmit-every", config.resubmitEvery);
+  // A fault entry naming no process is malformed input, like a bad field.
+  if (const auto diagnostic = unknownFaultProcess(config))
+    throw std::runtime_error(*diagnostic);
   if (const auto rejected = validateEngine(config))
     throw std::invalid_argument(*rejected);
   return config;

@@ -146,7 +146,7 @@ EngineFactory composeEngineFactory(const SvcConfig& config);
 
 /// Runs one service configuration to quiescence. Deterministic in
 /// (config, seed); throws std::invalid_argument on an inadmissible engine
-/// or bad parameters.
+/// or bad parameters, including a crash or restart naming no process.
 SvcResult runSvc(const SvcConfig& config,
                  const compose::RunHooks& hooks = {});
 

@@ -148,6 +148,21 @@ TEST(ComposeCapability, ResolveChecksRunParameters) {
   EXPECT_NE(throwText([&] { compose::resolve(lockstepWithCrashes); })
                 .find("lockstep"),
             std::string::npos);
+
+  // A crash entry naming no process is rejected before any run starts,
+  // with or without an oracle built from the crash schedule.
+  Composition unknownCrash;
+  unknownCrash.n = 5;
+  unknownCrash.crashes = {{1, 3}, {9, 5}};
+  Composition unknownCrashOracle = unknownCrash;
+  unknownCrashOracle.driver = "ct-coordinator";
+  unknownCrashOracle.oracle = "omega";
+  for (const Composition& composition : {unknownCrash, unknownCrashOracle}) {
+    EXPECT_THROW(compose::runComposition(composition), std::invalid_argument);
+    EXPECT_NE(throwText([&] { compose::runComposition(composition); })
+                  .find("crash '9@5' names process 9, but n=5"),
+              std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "benor/byzantine_vac.hpp"
 #include "benor/messages.hpp"
 #include "benor/reconciliators.hpp"
 #include "benor/vac.hpp"
+#include "core/tally.hpp"
 #include "phaseking/adopt_commit.hpp"
 #include "phaseking/conciliator.hpp"
 #include "phaseking/messages.hpp"
@@ -423,6 +425,58 @@ TEST(ReconciliatorUnit, LotteryWaitsForQuorum) {
 
 // ---------------------------------------------------------------------------
 // Decentralized-Raft VAC mirrors Ben-Or's thresholds
+
+// ---------------------------------------------------------------------------
+// Per-round quorum bookkeeping (core/tally.hpp): both the inline range and
+// the heap spill past it.
+
+TEST(SenderSetUnit, DedupsAcrossTheInlineAndSpilledRanges) {
+  for (const std::size_t n : {std::size_t{5}, std::size_t{64},
+                              std::size_t{65}, std::size_t{130}}) {
+    SenderSet senders;
+    senders.reset(n);
+    EXPECT_EQ(senders.universe(), n);
+    for (ProcessId from = 0; from < n; ++from) {
+      EXPECT_TRUE(senders.insert(from)) << "n=" << n << " from=" << from;
+      EXPECT_FALSE(senders.insert(from)) << "duplicate counted";
+    }
+    EXPECT_FALSE(senders.insert(static_cast<ProcessId>(n)));
+    EXPECT_EQ(senders.count(), n);
+    senders.reset(n);
+    EXPECT_EQ(senders.count(), 0u);
+    EXPECT_TRUE(senders.insert(static_cast<ProcessId>(n - 1)));
+  }
+  SenderSet unset;  // before reset: no sender is valid
+  EXPECT_FALSE(unset.insert(0));
+}
+
+TEST(ValueTallyUnit, CountsPastTheInlineValues) {
+  ValueTally tally;
+  EXPECT_EQ(tally.above(0), std::nullopt);
+  for (Value v = 0; v < 9; ++v) tally.add(v);  // spills past four values
+  EXPECT_EQ(tally.above(0), Value{0});         // first-vote order
+  EXPECT_EQ(tally.above(1), std::nullopt);
+  for (int i = 0; i < 2; ++i) tally.add(7);    // a spilled value: 3 votes
+  EXPECT_EQ(tally.above(3), std::nullopt);
+  tally.add(7);
+  EXPECT_EQ(tally.above(3), Value{7});
+}
+
+TEST(BenOrVacUnit, DedupsSendersBeyondSixtyFour) {
+  ManualObjectContext ctx(70);
+  benor::BenOrVac vac(2);
+  vac.invoke(ctx, 1);
+  for (ProcessId from = 0; from < 67; ++from)
+    vac.onMessage(ctx, from, benor::ProposalMessage(1));
+  for (int i = 0; i < 3; ++i)  // duplicates of a spilled sender
+    vac.onMessage(ctx, 66, benor::ProposalMessage(1));
+  EXPECT_EQ(ctx.lastBroadcast<benor::ReportMessage>(), nullptr)
+      << "67 distinct proposals are short of the 68-process quorum";
+  vac.onMessage(ctx, 69, benor::ProposalMessage(1));
+  const auto* report = ctx.lastBroadcast<benor::ReportMessage>();
+  ASSERT_NE(report, nullptr);
+  EXPECT_TRUE(report->ratify);
+}
 
 TEST(DecentralizedVacUnit, MirrorsBenOrOutcomes) {
   ManualObjectContext ctx(5);

@@ -11,6 +11,7 @@
 
 #include "check/replay.hpp"
 #include "check/scenario.hpp"
+#include "compose/composition.hpp"
 #include "compose/kv.hpp"
 #include "harness/serialize.hpp"
 #include "svc/run.hpp"
@@ -179,6 +180,48 @@ TEST(Replay, MalformedCounterexampleThrows) {
     expectRejectedEntry(
         [&] { (void)svc::parseSvcConfig(svcBody + "restart=" + restart); },
         restart);
+  }
+
+  // Well-formed entries naming a process id >= n are rejected too, on
+  // every parse path (n = 5 throughout).
+  expectRejectedEntry(
+      [&] { (void)svc::parseSvcConfig(svcBody + "crash=9@5"); }, "9@5");
+  expectRejectedEntry(
+      [&] { (void)svc::parseSvcConfig(svcBody + "restart=5@5+50"); },
+      "5@5+50");
+  Scenario benOr = benOrScenario();
+  benOr.benOr.crashes = {{9, 5}};
+  Scenario raftCrash = raftScenario();
+  raftCrash.raft.crashes = {{9, 5}};
+  for (const Scenario& scenario : {benOr, raftCrash})
+    expectRejectedEntry([&] { (void)parseScenario(serialize(scenario)); },
+                        "9@5");
+  Scenario raftRestart = raftScenario();
+  raftRestart.raft.restarts = {{5, 5, 50}};
+  expectRejectedEntry([&] { (void)parseScenario(serialize(raftRestart)); },
+                      "5@5+50");
+  compose::Composition unknownCrash;
+  unknownCrash.crashes = {{9, 5}};
+  compose::Composition unknownCrashOracle = unknownCrash;
+  unknownCrashOracle.driver = "ct-coordinator";
+  unknownCrashOracle.oracle = "omega";
+  for (const compose::Composition& composition :
+       {unknownCrash, unknownCrashOracle}) {
+    expectRejectedEntry(
+        [&] {
+          (void)compose::parseComposition(compose::serialize(composition));
+        },
+        "9@5");
+    expectRejectedEntry(
+        [&] { (void)compose::fromJson(compose::toJson(composition)); },
+        "9@5");
+    CounterexampleFile file;
+    file.scenario.family = Family::kCompose;
+    file.scenario.compose = composition;
+    file.invariant = "agreement";
+    expectRejectedEntry(
+        [&] { (void)parseCounterexample(serializeCounterexample(file)); },
+        "9@5");
   }
 }
 

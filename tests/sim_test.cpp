@@ -3,7 +3,9 @@
 // decision monitor.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "sim/network.hpp"
 #include "sim/process.hpp"
 #include "sim/simulator.hpp"
+#include "sim/trace.hpp"
 
 namespace ooc {
 namespace {
@@ -205,6 +208,15 @@ TEST(Simulator, CrashedProcessCannotSend) {
   EXPECT_TRUE(receiver->received.empty());
 }
 
+TEST(Simulator, CrashAndRestartOfUnknownProcessThrow) {
+  Simulator sim(SimConfig{}, sync());
+  sim.addProcess(std::make_unique<Recorder>());
+  sim.addProcess(std::make_unique<Recorder>());
+  EXPECT_THROW(sim.crashAt(2, 5), std::out_of_range);
+  EXPECT_THROW(sim.restartAt(9, 5, 50), std::out_of_range);
+  EXPECT_NO_THROW(sim.crashAt(1, 5));
+}
+
 TEST(Simulator, DecisionMonitorChecksAgreement) {
   Simulator sim(SimConfig{}, sync());
   class Decider : public Process {
@@ -280,6 +292,106 @@ TEST(Simulator, StopPredicateEndsRun) {
   EXPECT_GE(sim.now(), 50u);
   EXPECT_LT(sim.now(), 60u);
   EXPECT_FALSE(sim.hitCap());
+}
+
+// The built-in all-decided stop is a cached verdict refreshed only when a
+// decision, crash, restart or control action changes its inputs; it must
+// end every run on exactly the event an allCorrectDecided() predicate,
+// evaluated before every event, ends it on.
+
+/// Decides `value` at tick `decideAt` (never when 0) and keeps a one-tick
+/// timer chain running so the queue never drains on its own. With
+/// `decideOnRestart`, a restarted incarnation decides at once.
+class TimedDecider final : public Process {
+ public:
+  TimedDecider(Tick decideAt, bool decideOnRestart = false)
+      : decideAt_(decideAt), decideOnRestart_(decideOnRestart) {}
+  void onStart() override { ctx().setTimer(1); }
+  void onTimer(TimerId) override {
+    if (decideAt_ != 0 && ctx().now() >= decideAt_) ctx().decide(1);
+    ctx().setTimer(1);
+  }
+  void onRestart() override {
+    if (decideOnRestart_) ctx().decide(1);
+    onStart();
+  }
+  void onMessage(ProcessId, const Message&) override {}
+
+ private:
+  Tick decideAt_;
+  bool decideOnRestart_;
+};
+
+struct StopCase {
+  const char* name;
+  std::vector<Tick> decideAt;  // per process; 0 = never on its own
+  std::function<void(Simulator&)> faults;
+  bool decideOnRestart = false;
+};
+
+struct StopOutcome {
+  std::uint64_t events = 0;
+  Tick endedAt = 0;
+  bool hitCap = false;
+  Trace trace;
+};
+
+StopOutcome runStopCase(const StopCase& c, bool builtin) {
+  SimConfig config;
+  config.maxTicks = 500;
+  Simulator sim(config, sync());
+  for (const Tick at : c.decideAt)
+    sim.addProcess(std::make_unique<TimedDecider>(at, c.decideOnRestart));
+  c.faults(sim);
+  if (builtin) {
+    sim.stopWhenAllCorrectDecided();
+  } else {
+    sim.setStopPredicate(
+        [](const Simulator& s) { return s.allCorrectDecided(); });
+  }
+  TraceRecorder recorder;
+  sim.setScheduleObserver(&recorder);
+  sim.run();
+  return {sim.eventsProcessed(), sim.now(), sim.hitCap(), recorder.trace()};
+}
+
+TEST(Simulator, BuiltinAllDecidedStopMatchesExplicitPredicate) {
+  const std::vector<StopCase> cases = {
+      // A permanent crash (a control action) of the last undecided process.
+      {"crash", {3, 4, 0}, [](Simulator& s) { s.crashAt(2, 40); }},
+      // The crash half of a crash-restart: the restart is never reached.
+      {"restart-crash", {3, 4, 0}, [](Simulator& s) { s.restartAt(2, 30, 20); }},
+      // A restart brings an undecided process back (it decides inside its
+      // restart event); the run then ends on a later decision elsewhere.
+      {"restart-then-decide",
+       {3, 90, 0},
+       [](Simulator& s) { s.restartAt(2, 2, 30); },
+       /*decideOnRestart=*/true},
+      // No faults: the last decision comes late.
+      {"late-decision", {3, 4, 90}, [](Simulator&) {}},
+  };
+  for (const StopCase& c : cases) {
+    const StopOutcome builtin = runStopCase(c, /*builtin=*/true);
+    const StopOutcome predicate = runStopCase(c, /*builtin=*/false);
+    EXPECT_FALSE(predicate.hitCap) << c.name;
+    EXPECT_LT(predicate.endedAt, 200u) << c.name << ": stop never fired";
+    EXPECT_EQ(builtin.events, predicate.events) << c.name;
+    EXPECT_EQ(builtin.endedAt, predicate.endedAt) << c.name;
+    EXPECT_EQ(builtin.hitCap, predicate.hitCap) << c.name;
+    EXPECT_EQ(builtin.trace, predicate.trace) << c.name;
+  }
+}
+
+TEST(Simulator, StopPredicateAndBuiltinStopReplaceEachOther) {
+  SimConfig config;
+  config.maxTicks = 100;
+  Simulator sim(config, sync());
+  sim.addProcess(std::make_unique<TimedDecider>(3));
+  sim.stopWhenAllCorrectDecided();
+  // The later call wins: the run must outlive the tick-3 decision.
+  sim.setStopPredicate([](const Simulator& s) { return s.now() >= 20; });
+  sim.run();
+  EXPECT_EQ(sim.now(), 20u);
 }
 
 TEST(Simulator, LockstepBarrierStartsAtTickOne) {

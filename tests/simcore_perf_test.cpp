@@ -11,7 +11,11 @@
 //  * calendar ordering — timers beyond the queue's 1024-tick bucket window
 //    fire in tick order through the overflow heap and cursor jumps;
 //  * lazy rendering — Message::describe() runs only for observers that
-//    opted in via ScheduleObserver::wantsMessageText().
+//    opted in via ScheduleObserver::wantsMessageText();
+//  * message handles — copy, move and base conversion share one payload,
+//    a copy-constructed payload starts unshared, the last handle deletes;
+//  * queue teardown — a queue destroyed with events still pending returns
+//    its ring to the thread arena fully reset.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -25,6 +29,7 @@
 #include "check/golden.hpp"
 #include "compose/registry.hpp"
 #include "compose/run.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/message.hpp"
 #include "sim/network.hpp"
 #include "sim/process.hpp"
@@ -343,6 +348,136 @@ TEST(TagDispatch, AsMatchesExactConcreteTypeOnly) {
   EXPECT_NE(asBaseOther.as<OtherMsg>(), nullptr);
   EXPECT_EQ(asBaseOther.as<CountedMsg>(), nullptr);
   EXPECT_NE(tagOf<CountedMsg>(), tagOf<OtherMsg>());
+}
+
+// ---------------------------------------------------------------------------
+// Message handles: intrusive, non-atomic, thread-confined
+
+int lifeDestroyed = 0;
+
+struct LifeMsg final : MessageBase<LifeMsg> {
+  explicit LifeMsg(int v) : v(v) {}
+  LifeMsg(const LifeMsg&) = default;
+  ~LifeMsg() override { ++lifeDestroyed; }
+  int v;
+  std::string describe() const override { return "life"; }
+};
+
+static_assert(sizeof(MessagePtr) == sizeof(void*),
+              "a message handle is one pointer");
+static_assert(sizeof(SimEvent) <= 56, "SimEvent regrew past 56 bytes");
+
+TEST(MessageHandle, CopyMoveAndBaseConversionShareOnePayload) {
+  lifeDestroyed = 0;
+  {
+    MessageHandle<const LifeMsg> derived = makeMessage<LifeMsg>(5);
+    EXPECT_EQ(derived.useCount(), 1u);
+
+    MessagePtr base = derived;  // derived-to-base copy adds a reference
+    EXPECT_EQ(base.get(), derived.get());
+    EXPECT_EQ(derived.useCount(), 2u);
+
+    MessagePtr moved = std::move(base);  // a move transfers it
+    EXPECT_FALSE(base);
+    EXPECT_EQ(base.useCount(), 0u);
+    EXPECT_EQ(moved.useCount(), 2u);
+
+    MessagePtr copy = moved;
+    EXPECT_EQ(copy.useCount(), 3u);
+    const MessagePtr& same = copy;
+    copy = same;  // self-assignment keeps the reference
+    EXPECT_EQ(copy.useCount(), 3u);
+    copy = nullptr;
+    EXPECT_EQ(moved.useCount(), 2u);
+
+    MessagePtr fromDerived = std::move(derived);  // derived-to-base move
+    EXPECT_FALSE(derived);
+    EXPECT_EQ(fromDerived.useCount(), 2u);
+    ASSERT_NE(fromDerived->as<LifeMsg>(), nullptr);
+    EXPECT_EQ(fromDerived->as<LifeMsg>()->v, 5);
+    EXPECT_EQ(&*fromDerived, moved.get());
+    EXPECT_EQ(lifeDestroyed, 0);
+  }
+  EXPECT_EQ(lifeDestroyed, 1);  // the last handle deleted it, once
+}
+
+TEST(MessageHandle, CopyConstructedPayloadStartsUnshared) {
+  lifeDestroyed = 0;
+  const auto original = makeMessage<LifeMsg>(1);
+  const MessagePtr alias = original;
+  ASSERT_EQ(original.useCount(), 2u);
+  // Copy-constructing a payload never copies the source's count.
+  auto copy = makeMessage<LifeMsg>(*original);
+  EXPECT_EQ(copy.useCount(), 1u);
+  EXPECT_EQ(original.useCount(), 2u);
+  EXPECT_NE(copy.get(), original.get());
+  copy.reset();
+  EXPECT_FALSE(copy);
+  EXPECT_EQ(lifeDestroyed, 1);
+  EXPECT_EQ(original.useCount(), 2u);  // the source is untouched
+}
+
+class LifeFanout final : public Process {
+ public:
+  void onStart() override {
+    if (ctx().self() == 0) ctx().fanout(makeMessage<LifeMsg>(3));
+  }
+  void onMessage(ProcessId, const Message&) override {}
+};
+
+TEST(MessageHandle, FanoutPayloadDiesOnceAfterItsLastDelivery) {
+  lifeDestroyed = 0;
+  Simulator sim(SimConfig{}, std::make_unique<SynchronousNetwork>());
+  for (int i = 0; i < 6; ++i) sim.addProcess(std::make_unique<LifeFanout>());
+  sim.run();
+  EXPECT_EQ(sim.messagesDelivered(), 6u);
+  EXPECT_EQ(lifeDestroyed, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Queue teardown resets only the touched buckets
+
+SimEvent eventAt(Tick at, MessagePtr message = nullptr) {
+  SimEvent event;
+  event.at = at;
+  event.message = std::move(message);
+  return event;
+}
+
+TEST(CalendarQueue, TeardownLeavesTheArenaRingClean) {
+  EventQueue::drainThreadArena();
+  lifeDestroyed = 0;
+  {
+    EventQueue queue;
+    for (const Tick at : {Tick{3}, Tick{3}, Tick{3}, Tick{700}, Tick{1020}})
+      queue.push(eventAt(at, makeMessage<LifeMsg>(0)));
+    for (const Tick at : {Tick{5000}, Tick{9000}})  // overflow heap
+      queue.push(eventAt(at, makeMessage<LifeMsg>(0)));
+    // Pop part of tick 3: its bucket keeps a nonzero drain position.
+    SimEvent out;
+    ASSERT_TRUE(queue.pop(out));
+    ASSERT_TRUE(queue.pop(out));
+    EXPECT_EQ(out.at, 3u);
+    out = SimEvent{};
+    EXPECT_EQ(queue.size(), 5u);
+  }
+  // Every payload still queued died with the queue.
+  EXPECT_EQ(lifeDestroyed, 7);
+  ASSERT_EQ(EventQueue::threadArenaSize(), 1u);
+  ASSERT_TRUE(EventQueue::threadArenaClean());
+
+  // The next queue takes that ring and starts empty: every bucket the old
+  // queue touched drains in order, nothing stale leaks in.
+  EventQueue next;
+  EXPECT_EQ(EventQueue::threadArenaSize(), 0u);
+  SimEvent out;
+  EXPECT_FALSE(next.pop(out));
+  for (const Tick at : {Tick{3}, Tick{700}, Tick{1020}, Tick{3}, Tick{5000}})
+    next.push(eventAt(at));
+  std::vector<Tick> popped;
+  while (next.pop(out)) popped.push_back(out.at);
+  EXPECT_EQ(popped, (std::vector<Tick>{3, 3, 700, 1020, 5000}));
+  EXPECT_TRUE(next.empty());
 }
 
 }  // namespace

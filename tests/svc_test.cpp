@@ -419,6 +419,23 @@ TEST(Svc, EngineGateRejectsByCapability) {
   SvcConfig bad = smokeConfig("compose");
   bad.driver = "local-coin";
   EXPECT_THROW((void)runSvc(bad), std::invalid_argument);
+
+  // Fault entries naming no process are rejected before the run starts.
+  for (const std::string engine : {"compose", "paxos", "raft"}) {
+    SvcConfig crash = smokeConfig(engine);
+    crash.crashes = {{9, 5}};
+    EXPECT_THROW((void)runSvc(crash), std::invalid_argument) << engine;
+    SvcConfig restart = smokeConfig(engine);
+    restart.restarts = {{5, 5, 50}};
+    try {
+      (void)runSvc(restart);
+      ADD_FAILURE() << engine << ": accepted restart of process 5 at n=5";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("restart '5@5+50'"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // Raft replication flow control keeps the per-command message bill flat

@@ -120,7 +120,7 @@ struct Harness {
 
   void deliver(Round round, Stage stage, int payload, ProcessId from = 1) {
     process->onMessage(from, TaggedMessage(round, stage,
-                                           std::make_unique<ProbeMsg>(payload)));
+                                           makeMessage<ProbeMsg>(payload)));
   }
 
   ManualHostContext ctx;
@@ -221,15 +221,15 @@ TEST(TemplateRouting, RetiresAfterConfiguredExtraRounds) {
   process.onStart();
 
   process.onMessage(1, TaggedMessage(1, Stage::kDetect,
-                                     std::make_unique<ProbeMsg>(1)));
+                                     makeMessage<ProbeMsg>(1)));
   EXPECT_TRUE(process.decided());
   EXPECT_EQ(process.currentRound(), 2u);  // one extra round
   process.onMessage(1, TaggedMessage(2, Stage::kDetect,
-                                     std::make_unique<ProbeMsg>(2)));
+                                     makeMessage<ProbeMsg>(2)));
   EXPECT_TRUE(process.exhaustedRounds());  // retired after round 2
   const auto sends = ctx.outbound.size();
   process.onMessage(1, TaggedMessage(3, Stage::kDetect,
-                                     std::make_unique<ProbeMsg>(3)));
+                                     makeMessage<ProbeMsg>(3)));
   EXPECT_EQ(ctx.outbound.size(), sends) << "retired process must stay quiet";
 }
 
@@ -257,14 +257,14 @@ TEST(TemplateRouting, PostDecideBufferingIsBoundedByTheRetirementHorizon) {
 
   // Far-future message buffered while undecided (nothing is bounded yet).
   process.onMessage(1, TaggedMessage(9, Stage::kDetect,
-                                     std::make_unique<ProbeMsg>(90)));
+                                     makeMessage<ProbeMsg>(90)));
   EXPECT_EQ(process.bufferedCount(), 1u);
   EXPECT_EQ(process.bufferedDropped(), 0u);
 
   // Decide in round 1: horizon = 1 + 2 = 3, so the round-9 entry is
   // unreachable and pruned.
   process.onMessage(1, TaggedMessage(1, Stage::kDetect,
-                                     std::make_unique<ProbeMsg>(1)));
+                                     makeMessage<ProbeMsg>(1)));
   ASSERT_TRUE(process.decided());
   EXPECT_EQ(process.currentRound(), 2u);
   EXPECT_EQ(process.bufferedCount(), 0u);
@@ -272,13 +272,13 @@ TEST(TemplateRouting, PostDecideBufferingIsBoundedByTheRetirementHorizon) {
 
   // Beyond-horizon arrivals drop instead of buffering...
   process.onMessage(1, TaggedMessage(4, Stage::kDetect,
-                                     std::make_unique<ProbeMsg>(40)));
+                                     makeMessage<ProbeMsg>(40)));
   EXPECT_EQ(process.bufferedCount(), 0u);
   EXPECT_EQ(process.bufferedDropped(), 2u);
 
   // ...while rounds the process will still visit buffer as before.
   process.onMessage(1, TaggedMessage(3, Stage::kDetect,
-                                     std::make_unique<ProbeMsg>(30)));
+                                     makeMessage<ProbeMsg>(30)));
   EXPECT_EQ(process.bufferedCount(), 1u);
   EXPECT_EQ(process.bufferedPeak(), 1u);
 }
@@ -301,10 +301,10 @@ TEST(TemplateRouting, AcTemplateRejectsNothingButRoutesAdoptToDriver) {
   process.bind(ctx);
   process.onStart();
   process.onMessage(1, TaggedMessage(1, Stage::kDetect,
-                                     std::make_unique<ProbeMsg>(1)));
+                                     makeMessage<ProbeMsg>(1)));
   // Adopt under the AC template: the driver is consulted.
   process.onMessage(1, TaggedMessage(1, Stage::kDrive,
-                                     std::make_unique<ProbeMsg>(41)));
+                                     makeMessage<ProbeMsg>(41)));
   EXPECT_EQ(driverSaw, std::vector<int>({41}));
   EXPECT_EQ(process.currentRound(), 2u);
 }
@@ -327,10 +327,10 @@ TEST(TemplateRouting, FixedRoundDecisionRule) {
   process.onStart();
 
   process.onMessage(1, TaggedMessage(1, Stage::kDetect,
-                                     std::make_unique<ProbeMsg>(1)));
+                                     makeMessage<ProbeMsg>(1)));
   EXPECT_FALSE(process.decided()) << "commit must not decide under this rule";
   process.onMessage(1, TaggedMessage(2, Stage::kDetect,
-                                     std::make_unique<ProbeMsg>(2)));
+                                     makeMessage<ProbeMsg>(2)));
   EXPECT_TRUE(process.decided());
   EXPECT_EQ(process.decisionRound(), 2u);
   EXPECT_EQ(process.decisionValue(), 9);
