@@ -1,9 +1,9 @@
 // E1 + E2 — Ben-Or decomposition faithfulness and input-bias sensitivity.
 //
 // E1: rounds-to-decide and message cost vs n, decomposed (VAC+reconciliator
-//     under the template, run as the "benor-vac+local-coin" composition)
-//     against the monolithic classic implementation (the one mode with no
-//     composition spelling). Claim (paper §4.2): the decomposition is
+//     under the template) against the monolithic classic implementation,
+//     both running the one "benor-vac+local-coin" composition value.
+//     Claim (paper §4.2): the decomposition is
 //     behaviour-preserving, so the two columns must match in shape (same
 //     growth, same order).
 // E2: rounds vs the fraction of processes proposing 1. Convergence (§2)
@@ -19,7 +19,6 @@
 
 using namespace ooc;
 using namespace ooc::bench;
-using harness::BenOrConfig;
 
 namespace {
 
@@ -32,32 +31,6 @@ std::vector<Value> biasedInputs(std::size_t n, double fractionOnes) {
   std::vector<Value> spread(n);
   for (std::size_t i = 0; i < n; ++i) spread[i] = inputs[(i * 7) % n];
   return spread;
-}
-
-/// The monolithic baseline predates the registry, so its cell still runs
-/// through the legacy config path.
-CellStats runMonolithicTrials(std::size_t n, int runs,
-                              std::uint64_t seedBase) {
-  CellStats stats;
-  stats.runs = runs;
-  for (int run = 0; run < runs; ++run) {
-    BenOrConfig config;
-    config.n = n;
-    config.inputs = biasedInputs(n, 0.5);
-    config.seed = seedBase + static_cast<std::uint64_t>(run);
-    config.t = std::max<std::size_t>(1, n / 8);
-    config.mode = BenOrConfig::Mode::kMonolithic;
-    const auto result = runBenOr(config);
-    stats.agreementOk = stats.agreementOk && !result.agreementViolated;
-    stats.validityOk = stats.validityOk && !result.validityViolated;
-    if (result.allDecided) {
-      ++stats.decided;
-      stats.rounds.add(result.meanDecisionRound);
-    }
-    stats.messages.add(static_cast<double>(result.messagesByCorrect) /
-                       static_cast<double>(n));
-  }
-  return stats;
 }
 
 }  // namespace
@@ -74,19 +47,16 @@ int main(int argc, char** argv) {
                  "mean msgs/proc", "runs"});
     for (std::size_t n : {4, 8, 16, 32, 64}) {
       for (const bool monolithic : {false, true}) {
-        CellStats stats;
-        if (monolithic) {
-          stats = runMonolithicTrials(n, kRuns, 10'000);
-        } else {
-          compose::Composition composition;
-          composition.detector = "benor-vac";
-          composition.driver = "local-coin";
-          composition.n = n;
-          composition.inputs = biasedInputs(n, 0.5);
-          composition.t = std::max<std::size_t>(1, n / 8);
-          stats = runCompositionTrials(composition, kRuns, 10'000);
-          bench.require(stats.auditsOk, "object contracts");
-        }
+        compose::Composition composition;
+        composition.detector = "benor-vac";
+        composition.driver = "local-coin";
+        composition.n = n;
+        composition.inputs = biasedInputs(n, 0.5);
+        composition.t = std::max<std::size_t>(1, n / 8);
+        const CellStats stats = runCompositionTrials(
+            composition, kRuns, 10'000,
+            monolithic ? harness::runMonolithic : runDecomposed);
+        bench.require(stats.auditsOk, "object contracts");
         bench.require(stats.decided == kRuns && stats.agreementOk &&
                           stats.validityOk,
                         "benor consensus n=" + std::to_string(n));

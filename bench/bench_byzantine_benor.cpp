@@ -7,12 +7,26 @@
 // or corrupt runs.
 #include "bench/bench_common.hpp"
 #include "benor/async_byzantine.hpp"
-#include "harness/scenarios.hpp"
 
 using namespace ooc;
 using namespace ooc::bench;
 using benor::AsyncByzantineStrategy;
-using harness::ByzantineBenOrConfig;
+
+namespace {
+
+/// Byzantine Ben-Or: f = 2 equivocators at the back of n = 11.
+compose::Composition byzantineBenOr() {
+  compose::Composition composition;
+  composition.detector = "byzantine-benor-vac";
+  composition.n = 11;
+  composition.byzantineCount = 2;
+  composition.placement = compose::Placement::kBack;
+  composition.inputs = {0, 1};
+  composition.maxRounds = 4000;
+  return composition;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   Bench bench(argc, argv, "byzantine_benor");
@@ -31,12 +45,12 @@ int main(int argc, char** argv) {
       Summary rounds, messages;
       int clean = 0;
       for (int run = 0; run < kRuns; ++run) {
-        ByzantineBenOrConfig config;
+        compose::Composition config = byzantineBenOr();
         config.n = 11;
         config.byzantineCount = 2;
-        config.strategy = static_cast<int>(strategy);
+        config.byzantineStrategy = toString(strategy);
         config.seed = 200'000 + static_cast<std::uint64_t>(run);
-        const auto result = runByzantineBenOr(config);
+        const auto result = compose::runComposition(config);
         const bool ok = result.allDecided && !result.agreementViolated &&
                         !result.validityViolated && result.allAuditsOk;
         clean += ok ? 1 : 0;
@@ -60,15 +74,14 @@ int main(int argc, char** argv) {
     for (std::size_t f = 0; f <= 4; ++f) {
       int clean = 0, decided = 0, broken = 0;
       for (int run = 0; run < kRuns; ++run) {
-        ByzantineBenOrConfig config;
+        compose::Composition config = byzantineBenOr();
         config.n = 11;
         config.byzantineCount = f;
-        config.strategy =
-            static_cast<int>(AsyncByzantineStrategy::kEquivocate);
+        config.byzantineStrategy = "equivocate";
         config.seed = 210'000 + static_cast<std::uint64_t>(run);
         config.maxRounds = 80;
         config.maxTicks = 600'000;
-        const auto result = runByzantineBenOr(config);
+        const auto result = compose::runComposition(config);
         const bool ok = result.allDecided && !result.agreementViolated &&
                         !result.validityViolated;
         clean += ok ? 1 : 0;
@@ -92,13 +105,12 @@ int main(int argc, char** argv) {
       const std::size_t t = (n - 1) / 5;
       Summary rounds, messages;
       for (int run = 0; run < kRuns; ++run) {
-        ByzantineBenOrConfig config;
+        compose::Composition config = byzantineBenOr();
         config.n = n;
         config.byzantineCount = t;
-        config.strategy =
-            static_cast<int>(AsyncByzantineStrategy::kEquivocate);
+        config.byzantineStrategy = "equivocate";
         config.seed = 220'000 + static_cast<std::uint64_t>(run);
-        const auto result = runByzantineBenOr(config);
+        const auto result = compose::runComposition(config);
         bench.require(result.allDecided && !result.agreementViolated,
                         "byz-benor scale");
         rounds.add(result.meanDecisionRound);

@@ -117,20 +117,44 @@ struct CellStats {
   Summary messages;  ///< messages by correct processes, per process
 };
 
+/// Phase-King (`phaseking-ac+king-conciliator`), or with `queen` the
+/// Phase-Queen pairing, on the royal budgets: n = 7 with f = 2
+/// equivocators seated as the first kings, 300 rounds, 100000 ticks.
+inline compose::Composition royalComposition(bool queen = false) {
+  compose::Composition composition;
+  composition.detector = queen ? "phasequeen-ac" : "phaseking-ac";
+  composition.driver = queen ? "queen-conciliator" : "king-conciliator";
+  composition.n = 7;
+  composition.byzantineCount = 2;
+  composition.inputs = {0, 1};
+  composition.maxRounds = 300;
+  composition.maxTicks = 100000;
+  return composition;
+}
+
+/// The decomposed implementation of a composition (the default runner of
+/// runCompositionTrials; harness::runMonolithic is the classic one).
+inline compose::CompositionResult runDecomposed(
+    const compose::Composition& composition) {
+  return compose::runComposition(composition);
+}
+
 /// Runs `composition` under seeds seedBase, seedBase+1, ... — the
 /// scenario-setup loop every experiment binary used to hand-roll. The
 /// composition names the detector × driver pairing; everything else
-/// (inputs, t, crash schedule) rides along on the spec. Trials fan out
-/// across the scheduler; the fold below runs sequentially in seed order,
-/// so CellStats (and the JSON downstream) is byte-identical at any
-/// --threads value.
-inline CellStats runCompositionTrials(compose::Composition composition,
-                                      int runs, std::uint64_t seedBase) {
+/// (inputs, t, crash schedule) rides along on the spec, and `run` picks
+/// the implementation. Trials fan out across the scheduler; the fold below
+/// runs sequentially in seed order, so CellStats (and the JSON downstream)
+/// is byte-identical at any --threads value.
+inline CellStats runCompositionTrials(
+    compose::Composition composition, int runs, std::uint64_t seedBase,
+    compose::CompositionResult (*run)(const compose::Composition&) =
+        runDecomposed) {
   const auto results =
-      runTrialsParallel(runs, [&composition, seedBase](int run) {
+      runTrialsParallel(runs, [&composition, seedBase, run](int index) {
         compose::Composition trial = composition;
-        trial.seed = seedBase + static_cast<std::uint64_t>(run);
-        return compose::runComposition(trial);
+        trial.seed = seedBase + static_cast<std::uint64_t>(index);
+        return run(trial);
       });
   CellStats stats;
   stats.runs = runs;

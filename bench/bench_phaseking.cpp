@@ -8,10 +8,10 @@
 //     every run is clean; for f > t the adversary can and does break runs.
 #include "bench/bench_common.hpp"
 #include "harness/scenarios.hpp"
+#include "phaseking/byzantine.hpp"
 
 using namespace ooc;
 using namespace ooc::bench;
-using harness::PhaseKingConfig;
 using phaseking::ByzantineStrategy;
 
 int main(int argc, char** argv) {
@@ -32,24 +32,20 @@ int main(int argc, char** argv) {
         Summary rounds, messages, ticks;
         int clean = 0;
         for (int run = 0; run < kRuns; ++run) {
-          PhaseKingConfig config;
+          compose::Composition config = royalComposition();
           config.n = n;
           config.byzantineCount = t;
-          config.strategy = ByzantineStrategy::kEquivocate;
-          config.placement = PhaseKingConfig::Placement::kFront;
-          config.monolithic = monolithic;
+          config.byzantineStrategy = "equivocate";
+          config.placement = compose::Placement::kFront;
           config.seed = 40'000 + static_cast<std::uint64_t>(run);
-          const auto result = runPhaseKing(config);
+          const auto result = monolithic ? harness::runMonolithic(config)
+                                         : compose::runComposition(config);
           const bool ok = result.allDecided && !result.agreementViolated &&
                           !result.validityViolated;
           clean += ok ? 1 : 0;
           bench.require(ok, "phase-king f=t run");
-          if (!monolithic) {
-            bench.require(result.allAuditsOk, "AC contracts");
-            rounds.add(static_cast<double>(result.maxDecisionRound));
-          } else {
-            rounds.add(static_cast<double>(t + 1));
-          }
+          bench.require(result.allAuditsOk, "AC contracts");
+          rounds.add(static_cast<double>(result.maxDecisionRound));
           messages.add(static_cast<double>(result.messagesByCorrect) /
                        static_cast<double>(n - t));
           ticks.add(static_cast<double>(result.lastDecisionTick));
@@ -78,13 +74,13 @@ int main(int argc, char** argv) {
       Summary rounds;
       int clean = 0;
       for (int run = 0; run < kRuns; ++run) {
-        PhaseKingConfig config;
+        compose::Composition config = royalComposition();
         config.n = 13;
         config.byzantineCount = 4;
-        config.strategy = strategy;
-        config.placement = PhaseKingConfig::Placement::kFront;
+        config.byzantineStrategy = toString(strategy);
+        config.placement = compose::Placement::kFront;
         config.seed = 50'000 + static_cast<std::uint64_t>(run);
-        const auto result = runPhaseKing(config);
+        const auto result = compose::runComposition(config);
         const bool ok = result.allDecided && !result.agreementViolated &&
                         !result.validityViolated && result.allAuditsOk;
         clean += ok ? 1 : 0;
@@ -107,14 +103,14 @@ int main(int argc, char** argv) {
     for (std::size_t f = 0; f <= 5; ++f) {
       int clean = 0, agreement = 0, validity = 0, stuck = 0;
       for (int run = 0; run < kRuns; ++run) {
-        PhaseKingConfig config;
+        compose::Composition config = royalComposition();
         config.n = 10;
         config.byzantineCount = f;
-        config.strategy = ByzantineStrategy::kAntiKing;
-        config.placement = PhaseKingConfig::Placement::kFront;
+        config.byzantineStrategy = "anti-king";
+        config.placement = compose::Placement::kFront;
         config.seed = 60'000 + static_cast<std::uint64_t>(run);
         config.maxRounds = 60;
-        const auto result = runPhaseKing(config);
+        const auto result = compose::runComposition(config);
         const bool ok = result.allDecided && !result.agreementViolated &&
                         !result.validityViolated;
         clean += ok ? 1 : 0;
@@ -148,14 +144,14 @@ int main(int argc, char** argv) {
       Summary rounds;
       constexpr int kGapRuns = 120;
       for (int run = 0; run < kGapRuns; ++run) {
-        PhaseKingConfig config;
+        compose::Composition config = royalComposition();
         config.n = 13;
         config.byzantineCount = 4;
-        config.strategy = ByzantineStrategy::kRandom;
-        config.placement = PhaseKingConfig::Placement::kFront;
+        config.byzantineStrategy = "random";
+        config.placement = compose::Placement::kFront;
         config.seed = 65'000 + static_cast<std::uint64_t>(run);
         config.earlyCommitDecision = early;
-        const auto result = runPhaseKing(config);
+        const auto result = compose::runComposition(config);
         const bool ok = result.allDecided && !result.agreementViolated &&
                         !result.validityViolated;
         clean += ok ? 1 : 0;

@@ -3,12 +3,9 @@
 // for round length (2 ticks vs 3) and per-round traffic (n^2 + n vs
 // 2n^2 + n messages).
 #include "bench/bench_common.hpp"
-#include "harness/scenarios.hpp"
 
 using namespace ooc;
 using namespace ooc::bench;
-using harness::PhaseKingConfig;
-using phaseking::ByzantineStrategy;
 
 int main(int argc, char** argv) {
   Bench bench(argc, argv, "royal_family");
@@ -28,16 +25,14 @@ int main(int argc, char** argv) {
         Summary ticks, messages;
         int clean = 0;
         for (int run = 0; run < kRuns; ++run) {
-          PhaseKingConfig config;
-          config.algorithm = queenRun ? PhaseKingConfig::Algorithm::kQueen
-                                      : PhaseKingConfig::Algorithm::kKing;
+          compose::Composition config = royalComposition(queenRun);
           config.n = c.n;
           config.t = c.t;
           config.byzantineCount = c.t;
-          config.strategy = ByzantineStrategy::kEquivocate;
-          config.placement = PhaseKingConfig::Placement::kFront;
+          config.byzantineStrategy = "equivocate";
+          config.placement = compose::Placement::kFront;
           config.seed = 230'000 + static_cast<std::uint64_t>(run);
-          const auto result = runPhaseKing(config);
+          const auto result = compose::runComposition(config);
           const bool ok = result.allDecided && !result.agreementViolated &&
                           !result.validityViolated && result.allAuditsOk;
           clean += ok ? 1 : 0;
@@ -66,16 +61,15 @@ int main(int argc, char** argv) {
     for (std::size_t f = 2; f <= 4; ++f) {
       int kingClean = 0, queenClean = 0;
       for (int run = 0; run < kRuns; ++run) {
-        PhaseKingConfig config;
+        compose::Composition config = royalComposition();
         config.n = 13;
         config.byzantineCount = f;
-        config.strategy = ByzantineStrategy::kAntiKing;
-        config.placement = PhaseKingConfig::Placement::kFront;
+        config.byzantineStrategy = "anti-king";
+        config.placement = compose::Placement::kFront;
         config.seed = 240'000 + static_cast<std::uint64_t>(run);
         config.maxRounds = 40;
 
-        config.algorithm = PhaseKingConfig::Algorithm::kKing;
-        const auto king = runPhaseKing(config);
+        const auto king = compose::runComposition(config);
         kingClean += king.allDecided && !king.agreementViolated &&
                              !king.validityViolated
                          ? 1
@@ -83,8 +77,9 @@ int main(int argc, char** argv) {
         bench.require(!king.agreementViolated || f > 4,
                         "king agreement inside bound");
 
-        config.algorithm = PhaseKingConfig::Algorithm::kQueen;
-        const auto queen = runPhaseKing(config);
+        config.detector = "phasequeen-ac";
+        config.driver = "queen-conciliator";
+        const auto queen = compose::runComposition(config);
         queenClean += queen.allDecided && !queen.agreementViolated &&
                               !queen.validityViolated
                           ? 1

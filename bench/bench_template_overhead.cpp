@@ -12,29 +12,34 @@
 #include <string>
 #include <vector>
 
+#include "compose/run.hpp"
 #include "harness/scenarios.hpp"
 
 namespace {
 
-using ooc::harness::BenOrConfig;
-using ooc::harness::PhaseKingConfig;
-using ooc::harness::runBenOr;
-using ooc::harness::runPhaseKing;
+using ooc::compose::Composition;
+using ooc::compose::CompositionResult;
 
-void benchBenOr(benchmark::State& state, BenOrConfig::Mode mode) {
+CompositionResult run(const Composition& composition, bool monolithic) {
+  return monolithic ? ooc::harness::runMonolithic(composition)
+                    : ooc::compose::runComposition(composition);
+}
+
+void benchBenOr(benchmark::State& state, const char* detector,
+                bool monolithic) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::uint64_t seed = 1;
   std::uint64_t rounds = 0, runs = 0;
   for (auto _ : state) {
-    BenOrConfig config;
+    Composition config;
+    config.detector = detector;
     config.n = n;
     config.inputs.resize(n);
     for (std::size_t i = 0; i < n; ++i)
       config.inputs[i] = static_cast<ooc::Value>(i % 2);
     config.seed = seed++;
     config.t = std::max<std::size_t>(1, n / 8);
-    config.mode = mode;
-    const auto result = runBenOr(config);
+    const auto result = run(config, monolithic);
     if (!result.allDecided || result.agreementViolated)
       state.SkipWithError("consensus failure");
     rounds += result.maxDecisionRound;
@@ -47,26 +52,29 @@ void benchBenOr(benchmark::State& state, BenOrConfig::Mode mode) {
 }
 
 void BM_BenOrDecomposed(benchmark::State& state) {
-  benchBenOr(state, BenOrConfig::Mode::kDecomposed);
+  benchBenOr(state, "benor-vac", false);
 }
 void BM_BenOrMonolithic(benchmark::State& state) {
-  benchBenOr(state, BenOrConfig::Mode::kMonolithic);
+  benchBenOr(state, "benor-vac", true);
 }
 void BM_BenOrVacFromTwoAc(benchmark::State& state) {
-  benchBenOr(state, BenOrConfig::Mode::kVacFromTwoAc);
+  benchBenOr(state, "vac-from-two-ac", false);
 }
 
 void benchPhaseKing(benchmark::State& state, bool monolithic) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    PhaseKingConfig config;
+    Composition config;
+    config.detector = "phaseking-ac";
+    config.driver = "king-conciliator";
     config.n = n;
     config.byzantineCount = (n - 1) / 3;
-    config.strategy = ooc::phaseking::ByzantineStrategy::kEquivocate;
-    config.monolithic = monolithic;
+    config.inputs = {0, 1};
+    config.maxRounds = 300;
+    config.maxTicks = 100000;
     config.seed = seed++;
-    const auto result = runPhaseKing(config);
+    const auto result = run(config, monolithic);
     if (!result.allDecided || result.agreementViolated)
       state.SkipWithError("consensus failure");
     benchmark::DoNotOptimize(result.decidedValue);

@@ -9,42 +9,36 @@
 //   $ ./byzantine_kingdom [strategy]   strategy in {silent, random,
 //                                      equivocate, lying-king, anti-king}
 #include <cstdio>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 
-#include "harness/scenarios.hpp"
+#include "compose/run.hpp"
 
 int main(int argc, char** argv) {
   using namespace ooc;
-  using harness::PhaseKingConfig;
-  using phaseking::ByzantineStrategy;
 
-  ByzantineStrategy strategy = ByzantineStrategy::kEquivocate;
-  if (argc > 1) {
-    const std::string name = argv[1];
-    if (name == "silent") strategy = ByzantineStrategy::kSilent;
-    else if (name == "random") strategy = ByzantineStrategy::kRandom;
-    else if (name == "equivocate") strategy = ByzantineStrategy::kEquivocate;
-    else if (name == "lying-king") strategy = ByzantineStrategy::kLyingKing;
-    else if (name == "anti-king") strategy = ByzantineStrategy::kAntiKing;
-    else {
-      std::fprintf(stderr, "unknown strategy '%s'\n", name.c_str());
-      return 2;
-    }
-  }
-
-  PhaseKingConfig config;
+  compose::Composition config;
+  config.detector = "phaseking-ac";
+  config.driver = "king-conciliator";
   config.n = 7;
   config.byzantineCount = 2;  // the maximum: t = floor((7-1)/3) = 2
-  config.strategy = strategy;
-  config.placement = PhaseKingConfig::Placement::kFront;
+  config.byzantineStrategy = argc > 1 ? argv[1] : "equivocate";
+  config.placement = compose::Placement::kFront;
   config.inputs = {0, 1};  // alternating inputs among the correct five
+  config.maxRounds = 300;
+  config.maxTicks = 100000;
+
+  compose::CompositionResult result;
+  try {
+    result = compose::runComposition(config);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return 2;
+  }
 
   std::printf("Phase-King: n=7, Byzantine=2 (%s, seated as kings 1 and 2)\n",
-              toString(strategy));
+              config.byzantineStrategy.c_str());
   std::printf("correct processors propose 0,1,0,1,0\n\n");
-
-  const auto result = runPhaseKing(config);
 
   std::printf("all correct decided:  %s\n", result.allDecided ? "yes" : "NO");
   std::printf("agreed value:         %lld\n",

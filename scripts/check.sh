@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Model-checking sweep: builds the `check` CLI and explores all consensus
-# families with every strategy (random walks, delay-bounded reordering,
-# crash-schedule enumeration, and — for raft — crash-restart schedules
-# against durable storage). Exits nonzero if any invariant violation is
+# Model-checking sweep: builds the `check` CLI and explores the default
+# targets — Ben-Or and Phase-King as compositions (benor-vac+local-coin,
+# phaseking-ac+king-conciliator) plus Raft — with every applicable strategy
+# (random walks, delay-bounded reordering, crash-schedule enumeration,
+# round skew, and — for raft — crash-restart schedules against durable
+# storage). Exits nonzero if any invariant violation is
 # found; counterexamples (config + trace) land in ./counterexamples/.
 #
-#   scripts/check.sh               # default 10k-seed sweep per family
+#   scripts/check.sh               # default 10k-seed sweep per target
 #   SEEDS=100000 scripts/check.sh  # bigger sweep
-#   EXTRA="--family benor" scripts/check.sh
+#   EXTRA="--family compose" scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

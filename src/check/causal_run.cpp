@@ -1,6 +1,6 @@
 #include "check/causal_run.hpp"
 
-#include "harness/serialize.hpp"
+#include "compose/kv.hpp"
 
 namespace ooc::check {
 namespace {
@@ -55,7 +55,7 @@ CausalRun collectCausalRun(const Scenario& scenario, const Trace* expected) {
 causal::TraceMeta causalMeta(const CounterexampleFile& file) {
   causal::TraceMeta meta;
   meta.runId = file.runId.empty()
-                   ? harness::configRunId(serialize(file.scenario))
+                   ? compose::configRunId(serialize(file.scenario))
                    : file.runId;
   meta.scenario = describe(file.scenario);
   return meta;

@@ -10,30 +10,37 @@ std::vector<GoldenFixture> goldenFixtures() {
   {
     GoldenFixture f;
     f.name = "benor-async-n5";
-    f.scenario.family = Family::kBenOr;
-    f.scenario.benOr.n = 5;
-    f.scenario.benOr.inputs = {0, 1, 0, 1, 1};
-    f.scenario.benOr.seed = 7;
-    f.scenario.benOr.mode = harness::BenOrConfig::Mode::kDecomposed;
+    f.scenario.family = Family::kCompose;
+    f.scenario.compose.detector = "benor-vac";
+    f.scenario.compose.driver = "local-coin";
+    f.scenario.compose.n = 5;
+    f.scenario.compose.inputs = {0, 1, 0, 1, 1};
+    f.scenario.compose.seed = 7;
     fixtures.push_back(std::move(f));
   }
   {
     GoldenFixture f;
     f.name = "benor-vacfromac-n5";
-    f.scenario.family = Family::kBenOr;
-    f.scenario.benOr.n = 5;
-    f.scenario.benOr.inputs = {1, 0, 1, 0, 0};
-    f.scenario.benOr.seed = 21;
-    f.scenario.benOr.mode = harness::BenOrConfig::Mode::kVacFromTwoAc;
+    f.scenario.family = Family::kCompose;
+    f.scenario.compose.detector = "vac-from-two-ac";
+    f.scenario.compose.driver = "local-coin";
+    f.scenario.compose.n = 5;
+    f.scenario.compose.inputs = {1, 0, 1, 0, 0};
+    f.scenario.compose.seed = 21;
     fixtures.push_back(std::move(f));
   }
   {
     GoldenFixture f;
     f.name = "phaseking-lockstep-n7";
-    f.scenario.family = Family::kPhaseKing;
-    f.scenario.phaseKing.n = 7;
-    f.scenario.phaseKing.byzantineCount = 2;
-    f.scenario.phaseKing.seed = 11;
+    f.scenario.family = Family::kCompose;
+    f.scenario.compose.detector = "phaseking-ac";
+    f.scenario.compose.driver = "king-conciliator";
+    f.scenario.compose.n = 7;
+    f.scenario.compose.byzantineCount = 2;
+    f.scenario.compose.inputs = {0, 1};
+    f.scenario.compose.seed = 11;
+    f.scenario.compose.maxRounds = 300;
+    f.scenario.compose.maxTicks = 100000;
     fixtures.push_back(std::move(f));
   }
   {
@@ -48,8 +55,7 @@ std::vector<GoldenFixture> goldenFixtures() {
     fixtures.push_back(std::move(f));
   }
   {
-    // A registry pairing with no legacy config spelling: the timer
-    // reconciliator only exists as a composition.
+    // The timer reconciliator: a driver with no monolithic counterpart.
     GoldenFixture f;
     f.name = "compose-timer-n5";
     f.scenario.family = Family::kCompose;

@@ -4,8 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "harness/scenarios.hpp"
-#include "harness/serialize.hpp"
+#include "compose/kv.hpp"
 
 namespace ooc::check {
 namespace {
@@ -62,7 +61,7 @@ std::string serializeCounterexample(const CounterexampleFile& file) {
   std::ostringstream os;
   os << "ooc-counterexample v1\n";
   os << "runid="
-     << (file.runId.empty() ? harness::configRunId(scenarioText) : file.runId)
+     << (file.runId.empty() ? compose::configRunId(scenarioText) : file.runId)
      << "\n";
   os << "invariant=" << file.invariant << "\n";
   os << "detail=" << file.detail << "\n";
@@ -115,7 +114,7 @@ CounterexampleFile parseCounterexample(const std::string& text) {
   if (!sawTrace)
     throw std::runtime_error("counterexample: missing trace section");
   file.scenario = parseScenario(scenarioText);
-  if (file.runId.empty()) file.runId = harness::configRunId(scenarioText);
+  if (file.runId.empty()) file.runId = compose::configRunId(scenarioText);
   file.trace = parseTrace(in);
   return file;
 }

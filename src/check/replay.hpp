@@ -42,7 +42,7 @@ struct CounterexampleFile {
   std::string invariant;
   std::string detail;
   Trace trace;
-  /// Deterministic run identifier (harness::configRunId of the serialized
+  /// Deterministic run identifier (compose::configRunId of the serialized
   /// scenario). Filled on serialize when empty; optional on parse — files
   /// written before the field existed load fine and get the id recomputed.
   std::string runId;

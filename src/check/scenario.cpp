@@ -10,8 +10,6 @@ namespace ooc::check {
 
 const char* toString(Family family) noexcept {
   switch (family) {
-    case Family::kBenOr: return "benor";
-    case Family::kPhaseKing: return "phaseking";
     case Family::kRaft: return "raft";
     case Family::kCompose: return "compose";
     case Family::kFd: return "fd";
@@ -21,19 +19,20 @@ const char* toString(Family family) noexcept {
 }
 
 Family parseFamily(const std::string& name) {
-  if (name == "benor") return Family::kBenOr;
-  if (name == "phaseking") return Family::kPhaseKing;
   if (name == "raft") return Family::kRaft;
   if (name == "compose") return Family::kCompose;
   if (name == "fd") return Family::kFd;
   if (name == "svc") return Family::kSvc;
+  if (name == "benor" || name == "phaseking")
+    throw std::runtime_error(
+        "scenario family '" + name +
+        "' is retired: spell it family=compose with its detector and "
+        "driver (benor-vac+local-coin, phaseking-ac+king-conciliator)");
   throw std::runtime_error("unknown scenario family '" + name + "'");
 }
 
 std::uint64_t Scenario::seed() const noexcept {
   switch (family) {
-    case Family::kBenOr: return benOr.seed;
-    case Family::kPhaseKing: return phaseKing.seed;
     case Family::kRaft: return raft.seed;
     case Family::kCompose:
     case Family::kFd: return compose.seed;
@@ -44,8 +43,6 @@ std::uint64_t Scenario::seed() const noexcept {
 
 void Scenario::setSeed(std::uint64_t seed) noexcept {
   switch (family) {
-    case Family::kBenOr: benOr.seed = seed; break;
-    case Family::kPhaseKing: phaseKing.seed = seed; break;
     case Family::kRaft: raft.seed = seed; break;
     case Family::kCompose:
     case Family::kFd: compose.seed = seed; break;
@@ -55,8 +52,6 @@ void Scenario::setSeed(std::uint64_t seed) noexcept {
 
 std::size_t Scenario::processCount() const noexcept {
   switch (family) {
-    case Family::kBenOr: return benOr.n;
-    case Family::kPhaseKing: return phaseKing.n;
     case Family::kRaft: return raft.n;
     case Family::kCompose:
     case Family::kFd: return compose.n;
@@ -69,30 +64,6 @@ RunReport runScenario(const Scenario& scenario,
                       const harness::RunHooks& hooks) {
   RunReport report;
   switch (scenario.family) {
-    case Family::kBenOr: {
-      const auto result = harness::runBenOr(scenario.benOr, hooks);
-      report.allDecided = result.allDecided;
-      report.agreementViolated = result.agreementViolated;
-      report.validityViolated = result.validityViolated;
-      report.decidedValue = result.decidedValue;
-      report.messages = result.messagesByCorrect;
-      report.audits = result.audits;
-      report.allAuditsOk = result.allAuditsOk;
-      report.adoptOutcomesTotal = result.adoptOutcomesTotal;
-      report.adoptMismatchWitnesses = result.adoptMismatchWitnesses;
-      break;
-    }
-    case Family::kPhaseKing: {
-      const auto result = harness::runPhaseKing(scenario.phaseKing, hooks);
-      report.allDecided = result.allDecided;
-      report.agreementViolated = result.agreementViolated;
-      report.validityViolated = result.validityViolated;
-      report.decidedValue = result.decidedValue;
-      report.messages = result.messagesByCorrect;
-      report.audits = result.audits;
-      report.allAuditsOk = result.allAuditsOk;
-      break;
-    }
     case Family::kRaft: {
       const auto result = harness::runRaft(scenario.raft, hooks);
       report.allDecided = result.allDecided;
@@ -159,9 +130,6 @@ RunReport runScenario(const Scenario& scenario,
 std::string serialize(const Scenario& scenario) {
   std::string out = std::string("family=") + toString(scenario.family) + "\n";
   switch (scenario.family) {
-    case Family::kBenOr: return out + harness::serialize(scenario.benOr);
-    case Family::kPhaseKing:
-      return out + harness::serialize(scenario.phaseKing);
     case Family::kRaft: return out + harness::serialize(scenario.raft);
     case Family::kCompose:
     case Family::kFd:
@@ -183,12 +151,6 @@ Scenario parseScenario(const std::string& text) {
   const std::string rest =
       newline == std::string::npos ? "" : text.substr(newline + 1);
   switch (scenario.family) {
-    case Family::kBenOr:
-      scenario.benOr = harness::parseBenOrConfig(rest);
-      break;
-    case Family::kPhaseKing:
-      scenario.phaseKing = harness::parsePhaseKingConfig(rest);
-      break;
     case Family::kRaft:
       scenario.raft = harness::parseRaftConfig(rest);
       break;
@@ -214,23 +176,6 @@ std::string describe(const Scenario& scenario) {
   os << toString(scenario.family) << " n=" << scenario.processCount()
      << " seed=" << scenario.seed();
   switch (scenario.family) {
-    case Family::kBenOr:
-      os << " mode=" << harness::toString(scenario.benOr.mode)
-         << " reconciliator="
-         << harness::toString(scenario.benOr.reconciliator)
-         << " crashes=" << scenario.benOr.crashes.size()
-         << " max-delay=" << scenario.benOr.maxDelay;
-      if (scenario.benOr.adversary.enabled())
-        os << " adversary-budget=" << scenario.benOr.adversary.extraDelayMax;
-      if (scenario.benOr.fault != harness::BenOrConfig::Fault::kNone)
-        os << " fault=" << harness::toString(scenario.benOr.fault);
-      break;
-    case Family::kPhaseKing:
-      os << " algorithm=" << harness::toString(scenario.phaseKing.algorithm)
-         << " byzantine=" << scenario.phaseKing.byzantineCount
-         << " strategy=" << phaseking::toString(scenario.phaseKing.strategy)
-         << " placement=" << harness::toString(scenario.phaseKing.placement);
-      break;
     case Family::kRaft:
       os << " crashes=" << scenario.raft.crashes.size()
          << " partitions=" << scenario.raft.partitions.size()
@@ -259,11 +204,16 @@ std::string describe(const Scenario& scenario) {
         os << " oracle=" << scenario.compose.oracle
            << " stabilize-at=" << scenario.compose.oracleKnobs.stabilizeAt
            << " noise=" << scenario.compose.oracleKnobs.noise;
-      os << " byzantine=" << scenario.compose.byzantineCount
-         << " crashes=" << scenario.compose.crashes.size();
+      os << " byzantine=" << scenario.compose.byzantineCount;
+      if (scenario.compose.byzantineCount > 0)
+        os << " strategy=" << scenario.compose.byzantineStrategy
+           << " placement=" << compose::toString(scenario.compose.placement);
+      os << " crashes=" << scenario.compose.crashes.size();
       if (scenario.compose.adversary.enabled())
         os << " adversary-budget="
            << scenario.compose.adversary.extraDelayMax;
+      if (scenario.compose.fault != compose::PlantedFault::kNone)
+        os << " fault=" << compose::toString(scenario.compose.fault);
       break;
     case Family::kSvc:
       os << " engine=" << scenario.svc.engine;

@@ -1,7 +1,7 @@
 // Family-independent view of a scenario run, so exploration strategies,
-// invariants and the shrinker can treat Ben-Or, Phase-King and Raft runs
-// uniformly. A Scenario is a tagged union of the harness configurations; a
-// RunReport is the least common denominator of the harness results that the
+// invariants and the shrinker can treat compositions, Raft and the svc
+// replicated log uniformly. A Scenario is a tagged union of the run specs;
+// a RunReport is the least common denominator of the run results that the
 // invariant monitors consume.
 #pragma once
 
@@ -12,23 +12,22 @@
 
 namespace ooc::check {
 
-enum class Family { kBenOr, kPhaseKing, kRaft, kCompose, kFd, kSvc };
+enum class Family { kRaft, kCompose, kFd, kSvc };
 
 const char* toString(Family family) noexcept;
+/// Throws std::runtime_error on an unknown name; the retired `benor` and
+/// `phaseking` names get a diagnostic pointing at `family=compose`.
 Family parseFamily(const std::string& name);
 
 /// One fully specified run configuration of any scenario family. Only the
-/// member selected by `family` is meaningful. kCompose covers any
-/// registered detector × driver pairing directly (the legacy families are
-/// the pairings that predate the registry, kept for their serialized
-/// counterexamples and monolithic baselines). kFd shares the compose
-/// member — it is the oracle-guided corner of the composition space, split
-/// out as its own family so the oracle-quality strategy and the FD-axiom
-/// invariants have a home of their own.
+/// member selected by `family` is meaningful. kCompose covers every
+/// registered detector × driver pairing, Ben-Or and Phase-King included.
+/// kFd shares the compose member — it is the oracle-guided corner of the
+/// composition space, split out as its own family so the oracle-quality
+/// strategy and the FD-axiom invariants have a home of their own. Raft
+/// keeps its own family: RaftConsensus is not a detector × driver pairing.
 struct Scenario {
-  Family family = Family::kBenOr;
-  harness::BenOrConfig benOr;
-  harness::PhaseKingConfig phaseKing;
+  Family family = Family::kCompose;
   harness::RaftScenarioConfig raft;
   compose::Composition compose;
   svc::SvcConfig svc;
@@ -47,7 +46,7 @@ struct RunReport {
   Value decidedValue = kNoValue;
   std::uint64_t messages = 0;
 
-  /// Per-round object audits (empty for monolithic Ben-Or and Raft).
+  /// Per-round object audits (empty for Raft and svc).
   std::vector<RoundAudit> audits;
   bool allAuditsOk = true;
 
@@ -103,7 +102,8 @@ RunReport runScenario(const Scenario& scenario,
                       const harness::RunHooks& hooks = {});
 
 /// Text round-trip: a `family=...` line followed by the family config's
-/// key=value serialization (harness/serialize.hpp).
+/// key=value serialization (compose::serialize, harness/serialize.hpp or
+/// svc::serializeSvcConfig).
 std::string serialize(const Scenario& scenario);
 Scenario parseScenario(const std::string& text);
 

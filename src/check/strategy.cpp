@@ -4,7 +4,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "benor/async_byzantine.hpp"
 #include "compose/registry.hpp"
+#include "phaseking/byzantine.hpp"
 #include "util/rng.hpp"
 
 namespace ooc::check {
@@ -29,6 +31,25 @@ std::vector<std::pair<ProcessId, Tick>> randomCrashes(std::size_t n,
   return crashes;
 }
 
+/// The attack repertoire of a builtin Byzantine detector (empty for every
+/// other detector), so the walk varies the attack as well as the
+/// attackers' count and seats.
+std::vector<std::string> attackerStrategies(const std::string& detector) {
+  std::vector<std::string> names;
+  if (detector == "phaseking-ac" || detector == "phasequeen-ac") {
+    using S = phaseking::ByzantineStrategy;
+    for (const S s : {S::kSilent, S::kRandom, S::kEquivocate, S::kLyingKing,
+                      S::kAntiKing})
+      names.push_back(phaseking::toString(s));
+  } else if (detector == "byzantine-benor-vac") {
+    using S = benor::AsyncByzantineStrategy;
+    for (const S s :
+         {S::kSilent, S::kEquivocate, S::kRandom, S::kContrarian})
+      names.push_back(benor::toString(s));
+  }
+  return names;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -51,42 +72,6 @@ Scenario RandomWalkStrategy::generate(std::size_t index) const {
   };
 
   switch (scenario.family) {
-    case Family::kBenOr: {
-      auto& config = scenario.benOr;
-      if (options_.randomizeCrashes || options_.randomizeInputs) {
-        config.n = pickCount();
-        config.t.reset();  // recompute the default budget for the new n
-      }
-      if (options_.randomizeInputs) {
-        config.inputs = randomBinaryInputs(config.n, meta);
-      } else if (config.inputs.size() != config.n) {
-        config.inputs.resize(config.n);
-        for (std::size_t i = 0; i < config.n; ++i)
-          config.inputs[i] = static_cast<Value>(i % 2);
-      }
-      if (options_.randomizeCrashes) {
-        config.crashes = randomCrashes(config.n, (config.n - 1) / 2,
-                                       options_.crashTickMax, meta);
-      }
-      if (options_.randomizeDelays)
-        config.maxDelay = config.minDelay + meta.below(30);
-      break;
-    }
-    case Family::kPhaseKing: {
-      auto& config = scenario.phaseKing;
-      const std::size_t t =
-          config.t.value_or(config.n == 0 ? 0 : (config.n - 1) / 3);
-      if (options_.randomizeCrashes)  // fault-schedule freedom: the attackers
-        config.byzantineCount = meta.below(t + 1);
-      config.strategy =
-          static_cast<phaseking::ByzantineStrategy>(meta.below(5));
-      config.placement =
-          static_cast<harness::PhaseKingConfig::Placement>(meta.below(3));
-      if (options_.randomizeInputs)
-        config.inputs = randomBinaryInputs(
-            config.n - config.byzantineCount, meta);
-      break;
-    }
     case Family::kRaft: {
       auto& config = scenario.raft;
       if (options_.randomizeCrashes || options_.randomizeInputs)
@@ -122,11 +107,15 @@ Scenario RandomWalkStrategy::generate(std::size_t index) const {
         }
       } else if (options_.randomizeCrashes) {
         // Fault-schedule freedom for Byzantine detectors: vary the planted
-        // count (within the tolerance) and where the attackers sit.
+        // count (within the tolerance), where the attackers sit and how
+        // they attack.
         const std::size_t t = config.t.value_or(
             config.n == 0 ? 0 : (config.n - 1) / capability.tDivisor);
         config.byzantineCount = meta.below(t + 1);
         config.placement = static_cast<compose::Placement>(meta.below(3));
+        const auto attacks = attackerStrategies(config.detector);
+        if (!attacks.empty())
+          config.byzantineStrategy = attacks[meta.below(attacks.size())];
       }
       if (options_.randomizeInputs)
         config.inputs =
@@ -160,10 +149,9 @@ Scenario RandomWalkStrategy::generate(std::size_t index) const {
 
 DelayBoundStrategy::DelayBoundStrategy(Scenario base, Options options)
     : base_(std::move(base)), options_(std::move(options)) {
-  if (base_.family == Family::kPhaseKing ||
-      ((base_.family == Family::kCompose || base_.family == Family::kFd) &&
-       compose::registry().detector(base_.compose.detector).capability.mode ==
-           compose::InvocationMode::kLockstep))
+  if ((base_.family == Family::kCompose || base_.family == Family::kFd) &&
+      compose::registry().detector(base_.compose.detector).capability.mode ==
+          compose::InvocationMode::kLockstep)
     throw std::invalid_argument(
         "delay-bound exploration needs an asynchronous family");
   if (options_.budgets.empty() || options_.adversarySeedsPerBudget == 0)
@@ -178,10 +166,7 @@ Scenario DelayBoundStrategy::generate(std::size_t index) const {
   adversary.seed = options_.adversarySeedBase +
                    index % options_.adversarySeedsPerBudget;
   adversary.perturbProbability = options_.perturbProbability;
-  if (scenario.family == Family::kBenOr)
-    scenario.benOr.adversary = adversary;
-  else if (scenario.family == Family::kCompose ||
-           scenario.family == Family::kFd)
+  if (scenario.family == Family::kCompose || scenario.family == Family::kFd)
     scenario.compose.adversary = adversary;
   else if (scenario.family == Family::kSvc)
     scenario.svc.adversary = adversary;
@@ -195,11 +180,9 @@ Scenario DelayBoundStrategy::generate(std::size_t index) const {
 
 CrashScheduleStrategy::CrashScheduleStrategy(Scenario base, Options options)
     : base_(std::move(base)), options_(std::move(options)) {
-  if (base_.family == Family::kPhaseKing ||
-      ((base_.family == Family::kCompose || base_.family == Family::kFd) &&
-       compose::registry()
-               .detector(base_.compose.detector)
-               .capability.faultModel == compose::FaultModel::kByzantine))
+  if ((base_.family == Family::kCompose || base_.family == Family::kFd) &&
+      compose::registry().detector(base_.compose.detector).capability
+              .faultModel == compose::FaultModel::kByzantine)
     throw std::invalid_argument(
         "crash-schedule enumeration applies to crash-fault families");
   if (options_.tickGrid.empty())
@@ -254,10 +237,7 @@ Scenario CrashScheduleStrategy::generate(std::size_t index) const {
   }
 
   Scenario scenario = base_;
-  if (scenario.family == Family::kBenOr)
-    scenario.benOr.crashes = std::move(crashes);
-  else if (scenario.family == Family::kCompose ||
-           scenario.family == Family::kFd)
+  if (scenario.family == Family::kCompose || scenario.family == Family::kFd)
     scenario.compose.crashes = std::move(crashes);
   else if (scenario.family == Family::kSvc)
     scenario.svc.crashes = std::move(crashes);

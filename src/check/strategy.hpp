@@ -39,10 +39,12 @@ class RandomWalkStrategy final : public ExplorationStrategy {
     std::uint64_t seedBase = 1;
     std::size_t runs = 1000;
     bool randomizeInputs = true;
-    /// Ben-Or / Raft only (Phase-King faults are Byzantine, not crashes).
+    /// Crash schedules for crash-model families; the Byzantine count,
+    /// placement and attack for Byzantine-model detectors.
     bool randomizeCrashes = true;
     bool randomizeDelays = true;
-    /// Ben-Or / Raft process-count range; Phase-King keeps the base n.
+    /// Process-count range for crash-model families; Byzantine-model
+    /// detectors keep the base n.
     std::size_t minProcesses = 3;
     std::size_t maxProcesses = 9;
     /// Crash ticks are drawn from [1, crashTickMax].
@@ -73,8 +75,8 @@ class DelayBoundStrategy final : public ExplorationStrategy {
     double perturbProbability = 1.0;
   };
 
-  /// Throws std::invalid_argument for Phase-King (synchronous lockstep has
-  /// no delay freedom to explore).
+  /// Throws std::invalid_argument for lockstep detectors (synchronous
+  /// lockstep has no delay freedom to explore).
   DelayBoundStrategy(Scenario base, Options options);
 
   const char* name() const noexcept override { return "delay-bound"; }
@@ -90,17 +92,17 @@ class DelayBoundStrategy final : public ExplorationStrategy {
 
 /// Targeted crash-schedule enumeration: every crash set of up to
 /// `maxCrashes` distinct processes, each crashing at every combination of
-/// ticks from `tickGrid` (plus the crash-free schedule). Ben-Or / Raft only.
+/// ticks from `tickGrid` (plus the crash-free schedule). Crash-model
+/// families only.
 class CrashScheduleStrategy final : public ExplorationStrategy {
  public:
   struct Options {
-    /// Defaults to the family's fault budget: floor((n-1)/2) for Ben-Or,
-    /// minority for Raft.
+    /// Defaults to the minority fault budget floor((n-1)/2).
     std::size_t maxCrashes = 0;
     std::vector<Tick> tickGrid = {1, 5, 10, 25, 50, 100, 200};
   };
 
-  /// Throws std::invalid_argument for Phase-King (its faults are Byzantine).
+  /// Throws std::invalid_argument for Byzantine-model detectors.
   CrashScheduleStrategy(Scenario base, Options options);
 
   const char* name() const noexcept override { return "crash-schedule"; }

@@ -8,7 +8,7 @@
 
 #include "check/scenario.hpp"
 #include "core/properties.hpp"
-#include "harness/serialize.hpp"
+#include "compose/kv.hpp"
 
 namespace ooc::check {
 namespace {
@@ -149,7 +149,7 @@ std::string renderTimeline(const CounterexampleFile& file,
   runScenario(file.scenario, hooks);
 
   const std::string runId =
-      file.runId.empty() ? harness::configRunId(serialize(file.scenario))
+      file.runId.empty() ? compose::configRunId(serialize(file.scenario))
                          : file.runId;
 
   std::ostringstream os;

@@ -57,9 +57,8 @@ class TelemetrySink {
 struct RunHooks {
   ScheduleObserver* observer = nullptr;
   TelemetrySink* telemetry = nullptr;
-  /// Base label set for the run's metric flush. Legacy adapters set this to
-  /// keep their historical series names ({family=benor, mode=...}); when
-  /// empty, runComposition() labels by {family=compose, detector, driver}.
+  /// Base label set for the run's metric flush; when empty,
+  /// runComposition() labels by {family=compose, detector, driver}.
   obs::Labels telemetryLabels;
 };
 

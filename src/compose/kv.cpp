@@ -50,13 +50,55 @@ const std::vector<std::string>& KvReader::getAll(const std::string& key) const {
   return it == entries_.end() ? kEmpty : it->second;
 }
 
+namespace {
+
+/// Whole-field std::from_chars: nullopt unless `field` is exactly one
+/// number of type T.
+template <typename T>
+std::optional<T> parseWhole(std::string_view field) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (field.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+[[noreturn]] void malformed(const std::string& key, const std::string& value) {
+  throw std::runtime_error("config: malformed " + key + " '" + value + "'");
+}
+
+}  // namespace
+
+std::uint64_t KvReader::getU64(const std::string& key,
+                               std::uint64_t fallback) const {
+  if (!has(key)) return fallback;
+  const std::string value = get(key);
+  const auto parsed = parseEntryU64(value);
+  if (!parsed) malformed(key, value);
+  return *parsed;
+}
+
+double KvReader::getDouble(const std::string& key, double fallback) const {
+  if (!has(key)) return fallback;
+  const std::string value = get(key);
+  const auto parsed = parseWhole<double>(value);
+  if (!parsed) malformed(key, value);
+  return *parsed;
+}
+
 std::vector<Value> KvReader::getValues(const std::string& key) const {
   std::vector<Value> values;
   const std::string joined = get(key, "");
-  std::istringstream in(joined);
-  std::string token;
-  while (std::getline(in, token, ','))
-    if (!token.empty()) values.push_back(std::stoll(token));
+  std::string_view rest(joined);
+  while (!rest.empty()) {
+    const auto comma = rest.find(',');
+    const auto value = parseWhole<Value>(rest.substr(0, comma));
+    if (!value) malformed(key, joined);
+    values.push_back(*value);
+    rest = comma == std::string_view::npos ? std::string_view()
+                                           : rest.substr(comma + 1);
+  }
+  if (!joined.empty() && joined.back() == ',') malformed(key, joined);
   return values;
 }
 
@@ -65,11 +107,7 @@ std::string crashEntry(const std::pair<ProcessId, Tick>& crash) {
 }
 
 std::optional<std::uint64_t> parseEntryU64(std::string_view field) {
-  std::uint64_t value = 0;
-  const char* end = field.data() + field.size();
-  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
-  if (field.empty() || ec != std::errc() || ptr != end) return std::nullopt;
-  return value;
+  return parseWhole<std::uint64_t>(field);
 }
 
 std::pair<ProcessId, Tick> parseCrash(const std::string& entry) {

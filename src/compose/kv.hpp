@@ -1,11 +1,11 @@
 // The key=value wire format shared by every serializable configuration
-// (compositions, legacy scenario configs, counterexample files): one
+// (compositions, Raft and svc scenario configs, counterexample files): one
 // `key=value` pair per line, repeated keys for lists of structured entries
 // (crash=pid@tick). Parsing is strict — malformed lines throw — because a
 // counterexample that silently loses a field reproduces nothing.
 //
-// Hoisted out of src/harness/serialize.cpp so the composition layer and the
-// legacy config serializers share one writer/reader and one run-id rule.
+// The composition layer, the Raft serializer (src/harness/) and the svc
+// serializer share one writer/reader and one run-id rule.
 #pragma once
 
 #include <cstdint>
@@ -75,12 +75,13 @@ class KvReader {
   std::string get(const std::string& key, const std::string& fallback) const {
     return has(key) ? get(key) : fallback;
   }
-  std::uint64_t getU64(const std::string& key, std::uint64_t fallback) const {
-    return has(key) ? std::stoull(get(key)) : fallback;
-  }
-  double getDouble(const std::string& key, double fallback) const {
-    return has(key) ? std::stod(get(key)) : fallback;
-  }
+  /// The numeric getters read the whole field: an unsigned decimal for
+  /// getU64 (no sign), a decimal or exponent form for getDouble, and
+  /// comma-separated signed integers for getValues. Anything else — a
+  /// sign where none belongs, trailing characters, overflow, an empty
+  /// list item — throws std::runtime_error naming the key and the value.
+  std::uint64_t getU64(const std::string& key, std::uint64_t fallback) const;
+  double getDouble(const std::string& key, double fallback) const;
   const std::vector<std::string>& getAll(const std::string& key) const;
   std::vector<Value> getValues(const std::string& key) const;
 

@@ -1,9 +1,9 @@
 // The central object registry (the composition engine's name service).
 //
 // Every agreement detector, driver, and failure-detector oracle in the
-// library registers here under a stable string name — the same names the
-// legacy config serializers already put on the wire ("local-coin",
-// "vac-from-two-ac", ...) — together with a capability descriptor
+// library registers here under a stable string name ("local-coin",
+// "vac-from-two-ac", ...) — the names a serialized Composition puts on the
+// wire — together with a capability descriptor
 // (capability.hpp; OracleCapability below for the oracle family). A
 // Composition references objects purely by name; the registry resolves the
 // names, validates the pairing against the capability rules, and hands

@@ -1,9 +1,7 @@
 // The generic composition runner: one harness for every registered
-// detector × driver pairing. This replaces the per-protocol run loops that
-// used to be copy-pasted across src/harness/scenarios.cpp — the legacy
-// runBenOr/runByzantineBenOr/runPhaseKing entry points are now thin
-// adapters that lower their config structs into a Composition and call
-// runComposition(), reproducing the old schedules byte-for-byte.
+// detector × driver pairing, Ben-Or and Phase-King included. The classic
+// monolithic baselines take the same Composition value through
+// harness::runMonolithic().
 #pragma once
 
 #include <cstdint>

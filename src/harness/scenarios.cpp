@@ -6,12 +6,11 @@
 #include <string>
 #include <unordered_map>
 
-#include "benor/async_byzantine.hpp"
 #include "benor/monolithic.hpp"
 #include "compose/run.hpp"
 #include "compose/telemetry.hpp"
-#include "harness/serialize.hpp"
 #include "obs/metrics.hpp"
+#include "phaseking/byzantine.hpp"
 #include "phaseking/monolithic.hpp"
 #include "raft/consensus.hpp"
 #include "sim/simulator.hpp"
@@ -20,97 +19,121 @@
 namespace ooc::harness {
 namespace {
 
-// The per-protocol run loops that used to live here merged into
-// compose::runComposition(); the entry points below lower their configs
-// into a Composition and delegate. Only the monolithic baselines (no
-// detector/driver split to compose) and Raft (leader-driven, with
-// restarts/partitions/WAL instrumentation) keep bespoke loops, built on
-// the shared telemetry helpers re-exported by compose/telemetry.hpp.
+// Single-shot compositions run through compose::runComposition(). Only the
+// monolithic baselines (no detector/driver split to compose) and Raft
+// (leader-driven, with restarts/partitions/WAL instrumentation) keep
+// bespoke loops, built on the shared telemetry helpers re-exported by
+// compose/telemetry.hpp.
 using compose::publishDecisionTicks;
 using compose::publishSimMetrics;
-using compose::publishTemplateMetrics;
 using compose::roundLabel;
 using compose::withLabel;
 using compose::wrapAdversary;
 
-const char* detectorName(BenOrConfig::Mode mode) {
-  switch (mode) {
-    case BenOrConfig::Mode::kDecomposed: return "benor-vac";
-    case BenOrConfig::Mode::kVacFromTwoAc: return "vac-from-two-ac";
-    case BenOrConfig::Mode::kDecentralizedVac: return "decentralized-vac";
-    case BenOrConfig::Mode::kMonolithic:
-      throw std::logic_error("monolithic mode has no detector");
+phaseking::ByzantineStrategy royalStrategy(const std::string& name) {
+  using S = phaseking::ByzantineStrategy;
+  for (const S strategy : {S::kSilent, S::kRandom, S::kEquivocate,
+                           S::kLyingKing, S::kAntiKing})
+    if (name == phaseking::toString(strategy)) return strategy;
+  throw std::invalid_argument("unknown byzantine strategy '" + name + "'");
+}
+
+/// Byzantine slots per placement, as compose::runComposition() seats them.
+std::vector<bool> byzantineSlots(const compose::Composition& composition) {
+  const std::size_t n = composition.n;
+  const std::size_t f = composition.byzantineCount;
+  std::vector<bool> isByz(n, false);
+  switch (composition.placement) {
+    case compose::Placement::kFront:
+      for (std::size_t i = 0; i < f; ++i) isByz[i] = true;
+      break;
+    case compose::Placement::kBack:
+      for (std::size_t i = 0; i < f; ++i) isByz[n - 1 - i] = true;
+      break;
+    case compose::Placement::kSpread:
+      for (std::size_t i = 0; i < f; ++i) isByz[(i * n) / f] = true;
+      break;
   }
-  throw std::logic_error("unknown mode");
+  return isByz;
 }
 
-const char* driverName(BenOrConfig::Reconciliator reconciliator) {
-  switch (reconciliator) {
-    case BenOrConfig::Reconciliator::kLocalCoin: return "local-coin";
-    case BenOrConfig::Reconciliator::kCommonCoin: return "common-coin";
-    case BenOrConfig::Reconciliator::kBiasedCoin: return "biased-coin";
-    case BenOrConfig::Reconciliator::kKeepValue: return "keep-value";
-    case BenOrConfig::Reconciliator::kLottery: return "lottery";
-  }
-  throw std::logic_error("unknown reconciliator");
-}
+}  // namespace
 
-compose::PlantedFault lowerFault(BenOrConfig::Fault fault) {
-  return fault == BenOrConfig::Fault::kVacAdoptFlip
-             ? compose::PlantedFault::kVacAdoptFlip
-             : compose::PlantedFault::kNone;
-}
+// ---------------------------------------------------------------------------
 
-BenOrResult fromComposition(const compose::CompositionResult& run) {
-  BenOrResult result;
-  result.allDecided = run.allDecided;
-  result.agreementViolated = run.agreementViolated;
-  result.validityViolated = run.validityViolated;
-  result.decidedValue = run.decidedValue;
-  result.maxDecisionRound = run.maxDecisionRound;
-  result.meanDecisionRound = run.meanDecisionRound;
-  result.lastDecisionTick = run.lastDecisionTick;
-  result.messagesByCorrect = run.messagesByCorrect;
-  result.eventsProcessed = run.eventsProcessed;
-  result.audits = run.audits;
-  result.allAuditsOk = run.allAuditsOk;
-  result.adoptOutcomesTotal = run.adoptOutcomesTotal;
-  result.adoptMismatchWitnesses = run.adoptMismatchWitnesses;
-  return result;
-}
-
-/// Classic monolithic Ben-Or: no detector/driver split, so no Composition —
-/// the baseline keeps its own loop.
-BenOrResult runMonolithicBenOr(const BenOrConfig& config,
-                               const RunHooks& hooks) {
-  const std::size_t t =
-      config.t.value_or(config.n == 0 ? 0 : (config.n - 1) / 2);
+compose::CompositionResult runMonolithic(
+    const compose::Composition& composition) {
+  const std::string pairing = composition.detector + "+" + composition.driver;
+  const bool benOr = pairing == "benor-vac+local-coin";
+  if (!benOr && pairing != "phaseking-ac+king-conciliator")
+    throw std::invalid_argument(
+        "no monolithic baseline for '" + pairing +
+        "'; classic forms exist for benor-vac+local-coin and "
+        "phaseking-ac+king-conciliator");
+  if (composition.fault != compose::PlantedFault::kNone ||
+      composition.scheduler != SchedulingPolicy::kLockstep ||
+      composition.earlyCommitDecision)
+    throw std::invalid_argument(
+        "the monolithic '" + pairing +
+        "' has no detector to fault, no scheduler and no early-commit rule");
+  const compose::ResolvedComposition resolved = compose::resolve(composition);
+  const std::size_t n = composition.n;
 
   SimConfig simConfig;
-  simConfig.seed = config.seed;
-  simConfig.maxTicks = config.maxTicks;
-  UniformDelayNetwork::Options net;
-  net.minDelay = config.minDelay;
-  net.maxDelay = config.maxDelay;
-  Simulator sim(simConfig,
-                wrapAdversary(std::make_unique<UniformDelayNetwork>(net),
-                              config.adversary));
-  if (hooks.observer) sim.setScheduleObserver(hooks.observer);
+  simConfig.seed = composition.seed;
+  simConfig.maxTicks = composition.maxTicks;
+  simConfig.lockstep = resolved.lockstep;
+  std::unique_ptr<NetworkModel> network;
+  if (resolved.lockstep) {
+    network = std::make_unique<SynchronousNetwork>();
+  } else {
+    UniformDelayNetwork::Options net;
+    net.minDelay = composition.minDelay;
+    net.maxDelay = composition.maxDelay;
+    network = wrapAdversary(std::make_unique<UniformDelayNetwork>(net),
+                            composition.adversary);
+  }
+  Simulator sim(simConfig, std::move(network));
 
-  std::vector<benor::MonolithicBenOr*> classic;
-  for (ProcessId id = 0; id < config.n; ++id) {
-    auto process = std::make_unique<benor::MonolithicBenOr>(
-        config.inputs[id], t, config.maxRounds);
-    classic.push_back(process.get());
-    sim.addProcess(std::move(process));
+  // Inputs follow the Composition rule: a pattern over correct ids that
+  // repeats, alternating 0,1 when empty.
+  const std::vector<bool> isByz = byzantineSlots(composition);
+  std::vector<benor::MonolithicBenOr*> classicBenOr(n, nullptr);
+  std::vector<phaseking::MonolithicPhaseKing*> classicKing(n, nullptr);
+  std::vector<Value> validInputs;
+  for (ProcessId id = 0; id < n; ++id) {
+    if (isByz[id]) {
+      sim.addProcess(std::make_unique<phaseking::PhaseKingByzantine>(
+                         royalStrategy(composition.byzantineStrategy),
+                         phaseking::PhaseKingByzantine::Wire::kClassic),
+                     /*faulty=*/true);
+      continue;
+    }
+    const std::size_t correct = validInputs.size();
+    const Value input =
+        composition.inputs.empty()
+            ? static_cast<Value>(correct % 2)
+            : composition.inputs[correct % composition.inputs.size()];
+    validInputs.push_back(input);
+    if (benOr) {
+      auto process = std::make_unique<benor::MonolithicBenOr>(
+          input, resolved.t, composition.maxRounds);
+      classicBenOr[id] = process.get();
+      sim.addProcess(std::move(process));
+    } else {
+      auto process =
+          std::make_unique<phaseking::MonolithicPhaseKing>(input, resolved.t);
+      classicKing[id] = process.get();
+      sim.addProcess(std::move(process));
+    }
   }
 
-  sim.setValidValues(config.inputs);
-  for (const auto& [id, tick] : config.crashes) sim.crashAt(id, tick);
+  sim.setValidValues(validInputs);
+  for (const auto& [id, tick] : composition.crashes) sim.crashAt(id, tick);
   sim.stopWhenAllCorrectDecided();
   sim.run();
 
-  BenOrResult result;
+  compose::CompositionResult result;
   result.allDecided = sim.allCorrectDecided();
   result.agreementViolated = sim.agreementViolated();
   result.validityViolated = sim.validityViolated();
@@ -118,12 +141,14 @@ BenOrResult runMonolithicBenOr(const BenOrConfig& config,
   result.eventsProcessed = sim.eventsProcessed();
 
   Summary decisionRounds;
-  for (ProcessId id = 0; id < config.n; ++id) {
+  for (ProcessId id = 0; id < n; ++id) {
+    if (isByz[id]) continue;
     const auto& decision = sim.decision(id);
     if (!decision.decided) continue;
     result.decidedValue = decision.value;
     result.lastDecisionTick = std::max(result.lastDecisionTick, decision.at);
-    const Round round = classic[id]->decisionRound();
+    const Round round = benOr ? classicBenOr[id]->decisionRound()
+                              : classicKing[id]->currentPhase();
     result.maxDecisionRound = std::max(result.maxDecisionRound, round);
     decisionRounds.add(static_cast<double>(round));
   }
@@ -131,213 +156,17 @@ BenOrResult runMonolithicBenOr(const BenOrConfig& config,
     result.meanDecisionRound = decisionRounds.mean();
 
   if (obs::enabled()) {
-    const obs::Labels base = {{"family", "benor"},
-                              {"mode", toString(config.mode)}};
+    const obs::Labels base = {{"family", "monolithic"},
+                              {"detector", composition.detector},
+                              {"driver", composition.driver}};
     publishSimMetrics(sim, base);
     publishDecisionTicks(sim, base);
-    for (const benor::MonolithicBenOr* process : classic)
-      if (process->decided())
+    for (const benor::MonolithicBenOr* process : classicBenOr)
+      if (process != nullptr && process->decided())
         obs::metrics().observe("rounds_to_decide",
                                static_cast<double>(process->decisionRound()),
                                base);
   }
-  return result;
-}
-
-/// Classic monolithic Phase-King baseline (Byzantine peers speak the
-/// classic wire format).
-PhaseKingResult runMonolithicPhaseKing(const PhaseKingConfig& config,
-                                       const RunHooks& hooks) {
-  const std::size_t n = config.n;
-  const std::size_t f = config.byzantineCount;
-  const std::size_t t = config.t.value_or(n == 0 ? 0 : (n - 1) / 3);
-  if (f > n) throw std::invalid_argument("more Byzantine than processes");
-
-  std::vector<bool> isByz(n, false);
-  switch (config.placement) {
-    case PhaseKingConfig::Placement::kFront:
-      for (std::size_t i = 0; i < f; ++i) isByz[i] = true;
-      break;
-    case PhaseKingConfig::Placement::kBack:
-      for (std::size_t i = 0; i < f; ++i) isByz[n - 1 - i] = true;
-      break;
-    case PhaseKingConfig::Placement::kSpread:
-      for (std::size_t i = 0; i < f; ++i) isByz[(i * n) / f] = true;
-      break;
-  }
-
-  SimConfig simConfig;
-  simConfig.seed = config.seed;
-  simConfig.lockstep = true;
-  simConfig.maxTicks = config.maxTicks;
-  Simulator sim(simConfig, std::make_unique<SynchronousNetwork>());
-  if (hooks.observer) sim.setScheduleObserver(hooks.observer);
-
-  std::vector<Value> validInputs;
-  std::size_t correctSeen = 0;
-  for (ProcessId id = 0; id < n; ++id) {
-    if (isByz[id]) {
-      sim.addProcess(std::make_unique<phaseking::PhaseKingByzantine>(
-                         config.strategy,
-                         phaseking::PhaseKingByzantine::Wire::kClassic),
-                     /*faulty=*/true);
-      continue;
-    }
-    const Value input =
-        config.inputs.empty()
-            ? static_cast<Value>(correctSeen % 2)
-            : config.inputs[correctSeen % config.inputs.size()];
-    ++correctSeen;
-    validInputs.push_back(input);
-    sim.addProcess(std::make_unique<phaseking::MonolithicPhaseKing>(input, t));
-  }
-
-  sim.setValidValues(validInputs);
-  sim.stopWhenAllCorrectDecided();
-  sim.run();
-
-  PhaseKingResult result;
-  result.allDecided = sim.allCorrectDecided();
-  result.agreementViolated = sim.agreementViolated();
-  result.validityViolated = sim.validityViolated();
-  result.messagesByCorrect = sim.messagesSentByCorrect();
-  result.eventsProcessed = sim.eventsProcessed();
-  for (ProcessId id = 0; id < n; ++id) {
-    if (isByz[id]) continue;
-    const auto& decision = sim.decision(id);
-    if (!decision.decided) continue;
-    result.decidedValue = decision.value;
-    result.lastDecisionTick = std::max(result.lastDecisionTick, decision.at);
-  }
-
-  if (obs::enabled()) {
-    const obs::Labels base = {{"family", "phaseking"},
-                              {"algorithm", "king"},
-                              {"mode", "monolithic"}};
-    publishSimMetrics(sim, base);
-    publishDecisionTicks(sim, base);
-  }
-  return result;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Legacy-config lowering
-
-compose::Composition toComposition(const BenOrConfig& config) {
-  if (config.inputs.size() != config.n)
-    throw std::invalid_argument("inputs must have size n");
-  compose::Composition composition;
-  composition.detector = detectorName(config.mode);
-  composition.driver = driverName(config.reconciliator);
-  composition.n = config.n;
-  composition.t = config.t;
-  composition.inputs = config.inputs;
-  composition.seed = config.seed;
-  composition.bias = config.bias;
-  composition.crashes = config.crashes;
-  composition.minDelay = config.minDelay;
-  composition.maxDelay = config.maxDelay;
-  composition.maxRounds = config.maxRounds;
-  composition.maxTicks = config.maxTicks;
-  composition.adversary = config.adversary;
-  composition.fault = lowerFault(config.fault);
-  return composition;
-}
-
-compose::Composition toComposition(const ByzantineBenOrConfig& config) {
-  compose::Composition composition;
-  composition.detector = "byzantine-benor-vac";
-  composition.driver = "local-coin";
-  composition.n = config.n;
-  composition.t = config.t;
-  composition.byzantineCount = config.byzantineCount;
-  composition.byzantineStrategy = benor::toString(
-      static_cast<benor::AsyncByzantineStrategy>(config.strategy));
-  composition.placement = compose::Placement::kBack;
-  composition.inputs = config.inputs;
-  composition.seed = config.seed;
-  composition.minDelay = config.minDelay;
-  composition.maxDelay = config.maxDelay;
-  composition.maxRounds = config.maxRounds;
-  composition.maxTicks = config.maxTicks;
-  return composition;
-}
-
-compose::Composition toComposition(const PhaseKingConfig& config) {
-  const bool queen = config.algorithm == PhaseKingConfig::Algorithm::kQueen;
-  if (config.monolithic)
-    throw std::invalid_argument(
-        "monolithic Phase-King has no detector/driver decomposition");
-  compose::Composition composition;
-  composition.detector = queen ? "phasequeen-ac" : "phaseking-ac";
-  composition.driver = queen ? "queen-conciliator" : "king-conciliator";
-  composition.n = config.n;
-  composition.t = config.t;
-  composition.byzantineCount = config.byzantineCount;
-  composition.byzantineStrategy = phaseking::toString(config.strategy);
-  composition.placement = config.placement;
-  composition.inputs = config.inputs;
-  composition.earlyCommitDecision = config.earlyCommitDecision;
-  composition.seed = config.seed;
-  composition.maxRounds = config.maxRounds;
-  composition.maxTicks = config.maxTicks;
-  return composition;
-}
-
-// ---------------------------------------------------------------------------
-
-BenOrResult runBenOr(const BenOrConfig& config, const RunHooks& hooks) {
-  if (config.mode == BenOrConfig::Mode::kMonolithic) {
-    if (config.inputs.size() != config.n)
-      throw std::invalid_argument("inputs must have size n");
-    return runMonolithicBenOr(config, hooks);
-  }
-  const compose::Composition composition = toComposition(config);
-  RunHooks lowered = hooks;
-  if (lowered.telemetryLabels.empty())
-    lowered.telemetryLabels = {{"family", "benor"},
-                               {"mode", toString(config.mode)}};
-  return fromComposition(compose::runComposition(composition, lowered));
-}
-
-BenOrResult runByzantineBenOr(const ByzantineBenOrConfig& config) {
-  RunHooks hooks;
-  hooks.telemetryLabels = {{"family", "benor-byzantine"}};
-  return fromComposition(
-      compose::runComposition(toComposition(config), hooks));
-}
-
-// ---------------------------------------------------------------------------
-
-PhaseKingResult runPhaseKing(const PhaseKingConfig& config,
-                             const RunHooks& hooks) {
-  const bool queen = config.algorithm == PhaseKingConfig::Algorithm::kQueen;
-  if (queen && config.monolithic)
-    throw std::invalid_argument("Phase-Queen has no monolithic baseline");
-  if (config.monolithic) return runMonolithicPhaseKing(config, hooks);
-
-  const compose::Composition composition = toComposition(config);
-  RunHooks lowered = hooks;
-  if (lowered.telemetryLabels.empty())
-    lowered.telemetryLabels = {{"family", "phaseking"},
-                               {"algorithm", queen ? "queen" : "king"},
-                               {"mode", "decomposed"}};
-  const compose::CompositionResult run =
-      compose::runComposition(composition, lowered);
-
-  PhaseKingResult result;
-  result.allDecided = run.allDecided;
-  result.agreementViolated = run.agreementViolated;
-  result.validityViolated = run.validityViolated;
-  result.decidedValue = run.decidedValue;
-  result.maxDecisionRound = run.maxDecisionRound;
-  result.lastDecisionTick = run.lastDecisionTick;
-  result.messagesByCorrect = run.messagesByCorrect;
-  result.eventsProcessed = run.eventsProcessed;
-  result.audits = run.audits;
-  result.allAuditsOk = run.allAuditsOk;
   return result;
 }
 

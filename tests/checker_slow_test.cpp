@@ -27,22 +27,37 @@ std::size_t sweepSize() {
       GTEST_SKIP() << "set OOC_RUN_SLOW=1 to run big sweeps";    \
   } while (0)
 
-Scenario familyBase(Family family) {
+/// Ben-Or (benor-vac+local-coin) on n = 5 with split inputs.
+Scenario benOrBase() {
   Scenario scenario;
-  scenario.family = family;
-  if (family == Family::kBenOr) {
-    auto& config = scenario.benOr;
-    config.inputs.resize(config.n);
-    for (std::size_t i = 0; i < config.n; ++i)
-      config.inputs[i] = static_cast<Value>(i % 2);
-  }
+  scenario.compose.inputs = {0, 1, 0, 1, 0};
   return scenario;
 }
 
-void sweep(Family family) {
+/// Phase-King: n = 7 with f = 2 equivocators, short budgets.
+Scenario phaseKingBase() {
+  Scenario scenario;
+  auto& config = scenario.compose;
+  config.detector = "phaseking-ac";
+  config.driver = "king-conciliator";
+  config.n = 7;
+  config.byzantineCount = 2;
+  config.inputs = {0, 1};
+  config.maxRounds = 300;
+  config.maxTicks = 100000;
+  return scenario;
+}
+
+Scenario raftBase() {
+  Scenario scenario;
+  scenario.family = Family::kRaft;
+  return scenario;
+}
+
+void sweep(const Scenario& base) {
   RandomWalkStrategy::Options options;
   options.runs = sweepSize();
-  const RandomWalkStrategy strategy(familyBase(family), options);
+  const RandomWalkStrategy strategy(base, options);
   const auto suite = safetySuite();
   const CheckReport report = explore(strategy, view(suite), {});
   EXPECT_EQ(report.configsExplored, options.runs);
@@ -54,17 +69,17 @@ void sweep(Family family) {
 
 TEST(SlowSweep, BenOrTenThousandSeedsClean) {
   OOC_REQUIRE_SLOW();
-  sweep(Family::kBenOr);
+  sweep(benOrBase());
 }
 
 TEST(SlowSweep, PhaseKingTenThousandSeedsClean) {
   OOC_REQUIRE_SLOW();
-  sweep(Family::kPhaseKing);
+  sweep(phaseKingBase());
 }
 
 TEST(SlowSweep, RaftTenThousandSeedsClean) {
   OOC_REQUIRE_SLOW();
-  sweep(Family::kRaft);
+  sweep(raftBase());
 }
 
 }  // namespace

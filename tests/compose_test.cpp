@@ -1,22 +1,28 @@
 // The composition engine: registry semantics (lookup, open registration,
 // duplicate rejection), capability validation with the paper's §5
 // diagnostics, the three Composition interchange forms (spec string,
-// key=value, JSON), and the guarantee the whole refactor rests on — the
-// legacy per-protocol entry points lower onto runComposition() without
-// moving a single scheduler event.
+// key=value, JSON) with the strict key=value reader beneath them, and the
+// classic monolithic baselines that run the same spec value.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "benor/reconciliators.hpp"
 #include "check/replay.hpp"
 #include "check/scenario.hpp"
 #include "compose/composition.hpp"
+#include "compose/kv.hpp"
 #include "compose/matrix.hpp"
 #include "compose/registry.hpp"
 #include "compose/run.hpp"
+#include "core/scheduling.hpp"
 #include "fd/oracle.hpp"
 #include "harness/scenarios.hpp"
 #include "sim/trace.hpp"
@@ -25,6 +31,7 @@ namespace ooc {
 namespace {
 
 using compose::Composition;
+using compose::CompositionResult;
 using compose::registry;
 
 std::string throwText(const std::function<void()>& f) {
@@ -393,71 +400,198 @@ TEST(ComposeOracle, E22MatrixReportsRejectedCellsWithDiagnostics) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy adapters: byte-identical lowering
+// Monolithic baselines: the same spec value, the classic implementation
 
-TEST(ComposeAdapters, BenOrTraceIsByteIdenticalThroughTheAdapter) {
-  check::Scenario legacy;
-  legacy.family = check::Family::kBenOr;
-  legacy.benOr.n = 5;
-  legacy.benOr.inputs = {0, 1, 0, 1, 1};
-  legacy.benOr.seed = 33;
-  legacy.benOr.mode = harness::BenOrConfig::Mode::kDecomposed;
-
-  check::Scenario direct;
-  direct.family = check::Family::kCompose;
-  direct.compose = harness::toComposition(legacy.benOr);
-
-  const auto legacyRun = check::recordRun(legacy);
-  const auto directRun = check::recordRun(direct);
-  EXPECT_TRUE(legacyRun.trace == directRun.trace)
-      << "adapter lowering moved a scheduler event";
-  EXPECT_EQ(legacyRun.report.decidedValue, directRun.report.decidedValue);
-}
-
-TEST(ComposeAdapters, PhaseKingTraceIsByteIdenticalThroughTheAdapter) {
-  check::Scenario legacy;
-  legacy.family = check::Family::kPhaseKing;
-  legacy.phaseKing.n = 7;
-  legacy.phaseKing.byzantineCount = 2;
-  legacy.phaseKing.seed = 11;
-
-  check::Scenario direct;
-  direct.family = check::Family::kCompose;
-  direct.compose = harness::toComposition(legacy.phaseKing);
-
-  const auto legacyRun = check::recordRun(legacy);
-  const auto directRun = check::recordRun(direct);
-  EXPECT_TRUE(legacyRun.trace == directRun.trace)
-      << "adapter lowering moved a scheduler event";
-  EXPECT_EQ(legacyRun.report.allDecided, directRun.report.allDecided);
-}
-
-TEST(ComposeAdapters, ByzantineBenOrMatchesItsComposition) {
-  // runByzantineBenOr takes no hooks, so equivalence is asserted on the
-  // full result instead of the trace: same deterministic engine, same
-  // numbers, down to the event count.
-  harness::ByzantineBenOrConfig config;
-  config.seed = 77;
-  const auto legacy = harness::runByzantineBenOr(config);
-  const auto direct = compose::runComposition(harness::toComposition(config));
-  EXPECT_EQ(legacy.allDecided, direct.allDecided);
-  EXPECT_EQ(legacy.decidedValue, direct.decidedValue);
-  EXPECT_EQ(legacy.maxDecisionRound, direct.maxDecisionRound);
-  EXPECT_EQ(legacy.lastDecisionTick, direct.lastDecisionTick);
-  EXPECT_EQ(legacy.messagesByCorrect, direct.messagesByCorrect);
-  EXPECT_EQ(legacy.eventsProcessed, direct.eventsProcessed);
-}
-
-TEST(ComposeAdapters, MonolithicModesHaveNoComposition) {
-  harness::BenOrConfig benOr;
+TEST(ComposeMonolithic, RunsTheClassicPairingsAndRejectsTheRest) {
+  Composition benOr;
   benOr.n = 5;
   benOr.inputs = {0, 1, 0, 1, 1};
-  benOr.mode = harness::BenOrConfig::Mode::kMonolithic;
-  EXPECT_THROW(harness::toComposition(benOr), std::logic_error);
+  benOr.seed = 33;
+  const CompositionResult classicBenOr = harness::runMonolithic(benOr);
+  EXPECT_TRUE(classicBenOr.allDecided);
+  EXPECT_FALSE(classicBenOr.agreementViolated);
+  EXPECT_GE(classicBenOr.maxDecisionRound, 1u);
 
-  harness::PhaseKingConfig phaseKing;
-  phaseKing.monolithic = true;
-  EXPECT_THROW(harness::toComposition(phaseKing), std::invalid_argument);
+  Composition phaseKing;
+  phaseKing.detector = "phaseking-ac";
+  phaseKing.driver = "king-conciliator";
+  phaseKing.n = 7;
+  phaseKing.byzantineCount = 2;
+  const CompositionResult classicKing = harness::runMonolithic(phaseKing);
+  EXPECT_TRUE(classicKing.allDecided);
+  EXPECT_FALSE(classicKing.agreementViolated);
+  EXPECT_EQ(classicKing.maxDecisionRound, 3u);  // t + 1 phases
+
+  // No classic form: the diagnostic names the pairing.
+  for (const auto& [detector, driver] :
+       {std::pair<const char*, const char*>{"benor-vac", "timer"},
+        {"phasequeen-ac", "queen-conciliator"}}) {
+    Composition other;
+    other.detector = detector;
+    other.driver = driver;
+    const std::string pairing = std::string(detector) + "+" + driver;
+    try {
+      harness::runMonolithic(other);
+      ADD_FAILURE() << pairing << " ran without a classic form";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(pairing), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(ComposeMonolithic, RejectsKnobsTheClassicCodeHasNoPlaceFor) {
+  Composition planted;
+  planted.fault = compose::PlantedFault::kVacAdoptFlip;
+  Composition eventDriven;
+  eventDriven.scheduler = SchedulingPolicy::kEventDriven;
+  Composition earlyCommit;
+  earlyCommit.detector = "phaseking-ac";
+  earlyCommit.driver = "king-conciliator";
+  earlyCommit.n = 7;
+  earlyCommit.byzantineCount = 2;
+  earlyCommit.earlyCommitDecision = true;
+  for (const Composition& composition : {planted, eventDriven, earlyCommit}) {
+    const std::string pairing = composition.detector + "+" + composition.driver;
+    try {
+      harness::runMonolithic(composition);
+      ADD_FAILURE() << pairing << " ran a knob the classic code lacks";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(pairing), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(ComposeMonolithic, UnanimousInputsDecideThatInputLikeTheComposition) {
+  Composition benOr;
+  benOr.inputs = {1};
+  benOr.seed = 5;
+  Composition phaseKing;
+  phaseKing.detector = "phaseking-ac";
+  phaseKing.driver = "king-conciliator";
+  phaseKing.n = 7;
+  phaseKing.byzantineCount = 2;
+  phaseKing.inputs = {1};
+  for (const Composition& composition : {benOr, phaseKing}) {
+    const CompositionResult classic = harness::runMonolithic(composition);
+    const CompositionResult composed = compose::runComposition(composition);
+    for (const CompositionResult& result : {classic, composed}) {
+      EXPECT_TRUE(result.allDecided) << composition.detector;
+      EXPECT_FALSE(result.validityViolated) << composition.detector;
+      EXPECT_EQ(result.decidedValue, 1) << composition.detector;
+    }
+  }
+}
+
+TEST(ComposeMonolithic, IsDeterministicInSpecAndSeed) {
+  Composition phaseKing;
+  phaseKing.detector = "phaseking-ac";
+  phaseKing.driver = "king-conciliator";
+  phaseKing.n = 7;
+  phaseKing.byzantineCount = 2;
+  phaseKing.byzantineStrategy = "random";
+  phaseKing.seed = 9;
+  Composition benOr;
+  benOr.n = 7;
+  benOr.seed = 9;
+  for (const Composition& composition : {benOr, phaseKing}) {
+    const CompositionResult first = harness::runMonolithic(composition);
+    const CompositionResult second = harness::runMonolithic(composition);
+    EXPECT_EQ(first.allDecided, second.allDecided);
+    EXPECT_EQ(first.decidedValue, second.decidedValue);
+    EXPECT_EQ(first.maxDecisionRound, second.maxDecisionRound);
+    EXPECT_EQ(first.lastDecisionTick, second.lastDecisionTick);
+    EXPECT_EQ(first.messagesByCorrect, second.messagesByCorrect);
+    EXPECT_EQ(first.eventsProcessed, second.eventsProcessed);
+  }
+}
+
+TEST(ComposeMonolithic, HonoursTheSpecsCrashSchedule) {
+  // Classic Ben-Or waits for n - t messages a phase: t = 2 crashes on
+  // n = 5 leave it live, a third leaves the survivors waiting for good.
+  Composition tolerable;
+  tolerable.seed = 4;
+  tolerable.crashes = {{0, 0}, {3, 0}};
+  const CompositionResult live = harness::runMonolithic(tolerable);
+  EXPECT_TRUE(live.allDecided);
+  EXPECT_FALSE(live.agreementViolated);
+
+  Composition tooMany = tolerable;
+  tooMany.crashes.push_back({4, 0});
+  const CompositionResult stuck = harness::runMonolithic(tooMany);
+  EXPECT_FALSE(stuck.allDecided);
+  EXPECT_EQ(stuck.maxDecisionRound, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The key=value reader: numeric getters and entry fields read whole
+
+void expectMalformed(
+    const std::string& key, const std::string& value,
+    const std::function<void(const compose::KvReader&)>& read) {
+  const compose::KvReader kv(key + "=" + value + "\n");
+  try {
+    read(kv);
+    ADD_FAILURE() << "accepted " << key << "=" << value;
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(key), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + value + "'"), std::string::npos) << what;
+  }
+}
+
+TEST(ComposeKv, GetU64ReadsAnUnsignedDecimal) {
+  const compose::KvReader kv("n=0\nseed=18446744073709551615\n");
+  EXPECT_EQ(kv.getU64("n", 9), 0u);
+  EXPECT_EQ(kv.getU64("seed", 9), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(kv.getU64("max-rounds", 9), 9u);
+}
+
+TEST(ComposeKv, GetU64RejectsSignsJunkAndOverflow) {
+  for (const std::string value :
+       {"5x", "-1", "+5", "abc", " 5", "5 ", "", "0x10",
+        "18446744073709551616"})
+    expectMalformed("n", value,
+                    [](const compose::KvReader& kv) { kv.getU64("n", 0); });
+}
+
+TEST(ComposeKv, GetDoubleReadsTheWholeField) {
+  const compose::KvReader kv("bias=0.25\nprob=1e-3\n");
+  EXPECT_EQ(kv.getDouble("bias", 0.5), 0.25);
+  EXPECT_EQ(kv.getDouble("prob", 0.5), 1e-3);
+  EXPECT_EQ(kv.getDouble("missing", 0.5), 0.5);
+  for (const std::string value : {"0.5abc", "abc", "", "0.5 ", "0,5"})
+    expectMalformed("bias", value, [](const compose::KvReader& kv) {
+      kv.getDouble("bias", 0.5);
+    });
+}
+
+TEST(ComposeKv, GetValuesReadsSignedCommaSeparatedIntegers) {
+  const compose::KvReader kv("inputs=-3,4,0\nempty=\n");
+  EXPECT_EQ(kv.getValues("inputs"), (std::vector<Value>{-3, 4, 0}));
+  EXPECT_TRUE(kv.getValues("empty").empty());
+  EXPECT_TRUE(kv.getValues("missing").empty());
+  for (const std::string value :
+       {"0,1x,0", "0,,1", "0,1,", ",0", "1.5", "0, 1"})
+    expectMalformed("inputs", value, [](const compose::KvReader& kv) {
+      kv.getValues("inputs");
+    });
+}
+
+TEST(ComposeKv, CrashEntriesReadWholeFields) {
+  EXPECT_EQ(compose::parseEntryU64("250"), std::optional<std::uint64_t>(250));
+  for (const std::string field : {"", "0x", "+1", "-1", "25 0"})
+    EXPECT_FALSE(compose::parseEntryU64(field).has_value()) << field;
+
+  const std::pair<ProcessId, Tick> crash{3, 40};
+  EXPECT_EQ(compose::parseCrash(compose::crashEntry(crash)), crash);
+  for (const std::string entry :
+       {"3@40x", "3x@40", "3", "@40", "3@", "4294967296@1"})
+    EXPECT_NE(throwText([&] { compose::parseCrash(entry); })
+                  .find("'" + entry + "'"),
+              std::string::npos)
+        << entry;
 }
 
 // ---------------------------------------------------------------------------

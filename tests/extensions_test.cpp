@@ -6,14 +6,49 @@
 #include <tuple>
 
 #include "benor/async_byzantine.hpp"
+#include "compose/run.hpp"
 #include "harness/scenarios.hpp"
+#include "phaseking/byzantine.hpp"
 
 namespace ooc {
 namespace {
 
-using harness::BenOrConfig;
-using harness::ByzantineBenOrConfig;
-using harness::PhaseKingConfig;
+using compose::Composition;
+using compose::Placement;
+using compose::runComposition;
+
+/// Byzantine Ben-Or: n = 11 (t = 2) with f = 2 equivocators at the back.
+Composition byzantineBenOr() {
+  Composition composition;
+  composition.detector = "byzantine-benor-vac";
+  composition.n = 11;
+  composition.byzantineCount = 2;
+  composition.placement = Placement::kBack;
+  composition.inputs = {0, 1};
+  composition.maxRounds = 4000;
+  return composition;
+}
+
+/// Phase-King's pairing, for the queen comparison: n = 7, f = 2.
+Composition phaseKing() {
+  Composition composition;
+  composition.detector = "phaseking-ac";
+  composition.driver = "king-conciliator";
+  composition.n = 7;
+  composition.byzantineCount = 2;
+  composition.inputs = {0, 1};
+  composition.maxRounds = 300;
+  composition.maxTicks = 100000;
+  return composition;
+}
+
+/// The Phase-Queen pairing on Phase-King's budgets.
+Composition phaseQueen() {
+  Composition composition = phaseKing();
+  composition.detector = "phasequeen-ac";
+  composition.driver = "queen-conciliator";
+  return composition;
+}
 
 // ---------------------------------------------------------------------------
 // Byzantine Ben-Or
@@ -24,12 +59,12 @@ class ByzantineBenOrSweep
 
 TEST_P(ByzantineBenOrSweep, SurvivesMaxAttackersAtEveryStrategy) {
   const auto [strategy, seed] = GetParam();
-  ByzantineBenOrConfig config;
+  Composition config = byzantineBenOr();
   config.n = 11;  // t = 2
   config.byzantineCount = 2;
-  config.strategy = static_cast<int>(strategy);
+  config.byzantineStrategy = toString(strategy);
   config.seed = seed;
-  const auto result = runByzantineBenOr(config);
+  const auto result = runComposition(config);
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
   EXPECT_FALSE(result.validityViolated);
@@ -52,13 +87,13 @@ TEST(ByzantineBenOr, UnanimousCorrectInputsCannotBeFlipped) {
                         benor::AsyncByzantineStrategy::kRandom,
                         benor::AsyncByzantineStrategy::kContrarian}) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      ByzantineBenOrConfig config;
+      Composition config = byzantineBenOr();
       config.n = 11;
       config.byzantineCount = 2;
-      config.strategy = static_cast<int>(strategy);
+      config.byzantineStrategy = toString(strategy);
       config.inputs = {1};
       config.seed = seed;
-      const auto result = runByzantineBenOr(config);
+      const auto result = runComposition(config);
       ASSERT_TRUE(result.allDecided);
       EXPECT_EQ(result.decidedValue, 1)
           << toString(strategy) << " seed " << seed;
@@ -71,13 +106,12 @@ TEST(ByzantineBenOr, UnanimousCorrectInputsCannotBeFlipped) {
 
 TEST(ByzantineBenOr, LargerNetworks) {
   for (std::size_t n : {6, 16, 26}) {
-    ByzantineBenOrConfig config;
+    Composition config = byzantineBenOr();
     config.n = n;
     config.byzantineCount = (n - 1) / 5;
-    config.strategy =
-        static_cast<int>(benor::AsyncByzantineStrategy::kEquivocate);
+    config.byzantineStrategy = "equivocate";
     config.seed = 7;
-    const auto result = runByzantineBenOr(config);
+    const auto result = runComposition(config);
     EXPECT_TRUE(result.allDecided) << "n=" << n;
     EXPECT_FALSE(result.agreementViolated);
     EXPECT_TRUE(result.allAuditsOk);
@@ -85,22 +119,22 @@ TEST(ByzantineBenOr, LargerNetworks) {
 }
 
 TEST(ByzantineBenOr, RejectsTooManyDeclaredFaults) {
-  ByzantineBenOrConfig config;
+  Composition config = byzantineBenOr();
   config.n = 10;
   config.t = 2;  // 5t = 10 >= n
   config.byzantineCount = 0;
-  EXPECT_THROW(runByzantineBenOr(config), std::invalid_argument);
+  EXPECT_THROW(runComposition(config), std::invalid_argument);
 }
 
 TEST(ByzantineBenOr, CrashToleranceSubsumed) {
   // Silent Byzantine processes are crashes; the hardened thresholds must
   // still terminate without them.
-  ByzantineBenOrConfig config;
+  Composition config = byzantineBenOr();
   config.n = 11;
   config.byzantineCount = 2;
-  config.strategy = static_cast<int>(benor::AsyncByzantineStrategy::kSilent);
+  config.byzantineStrategy = "silent";
   config.seed = 11;
-  const auto result = runByzantineBenOr(config);
+  const auto result = runComposition(config);
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
 }
@@ -114,14 +148,13 @@ class PhaseQueenSweep
 
 TEST_P(PhaseQueenSweep, SurvivesMaxAttackers) {
   const auto [strategy, seed] = GetParam();
-  PhaseKingConfig config;
-  config.algorithm = PhaseKingConfig::Algorithm::kQueen;
+  Composition config = phaseQueen();
   config.n = 9;  // queen: t = 2
   config.byzantineCount = 2;
-  config.strategy = strategy;
-  config.placement = PhaseKingConfig::Placement::kFront;
+  config.byzantineStrategy = phaseking::toString(strategy);
+  config.placement = Placement::kFront;
   config.seed = seed;
-  const auto result = runPhaseKing(config);
+  const auto result = runComposition(config);
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
   EXPECT_FALSE(result.validityViolated);
@@ -143,16 +176,17 @@ TEST(PhaseQueen, FasterThanKingPerRound) {
   // Same n, same adversary count within both bounds: queen rounds are 2
   // ticks vs the king's 3, so total ticks to decide are lower even though
   // the queen needs its own t+1 rounds.
-  PhaseKingConfig king;
+  Composition king = phaseKing();
   king.n = 13;
   king.byzantineCount = 3;  // within both n/4 and n/3
   king.t = 3;
-  king.strategy = phaseking::ByzantineStrategy::kEquivocate;
-  PhaseKingConfig queen = king;
-  queen.algorithm = PhaseKingConfig::Algorithm::kQueen;
+  king.byzantineStrategy = "equivocate";
+  Composition queen = king;
+  queen.detector = "phasequeen-ac";
+  queen.driver = "queen-conciliator";
 
-  const auto kingResult = runPhaseKing(king);
-  const auto queenResult = runPhaseKing(queen);
+  const auto kingResult = runComposition(king);
+  const auto queenResult = runComposition(queen);
   ASSERT_TRUE(kingResult.allDecided);
   ASSERT_TRUE(queenResult.allDecided);
   EXPECT_LT(queenResult.lastDecisionTick, kingResult.lastDecisionTick);
@@ -160,13 +194,12 @@ TEST(PhaseQueen, FasterThanKingPerRound) {
 
 TEST(PhaseQueen, ScaleSweepAtMaxTolerance) {
   for (std::size_t n : {5, 9, 13, 21}) {
-    PhaseKingConfig config;
-    config.algorithm = PhaseKingConfig::Algorithm::kQueen;
+    Composition config = phaseQueen();
     config.n = n;
     config.byzantineCount = (n - 1) / 4;
-    config.strategy = phaseking::ByzantineStrategy::kEquivocate;
-    config.placement = PhaseKingConfig::Placement::kFront;
-    const auto result = runPhaseKing(config);
+    config.byzantineStrategy = "equivocate";
+    config.placement = Placement::kFront;
+    const auto result = runComposition(config);
     EXPECT_TRUE(result.allDecided) << "n=" << n;
     EXPECT_FALSE(result.agreementViolated) << "n=" << n;
     EXPECT_TRUE(result.allAuditsOk) << "n=" << n;
@@ -174,19 +207,15 @@ TEST(PhaseQueen, ScaleSweepAtMaxTolerance) {
 }
 
 TEST(PhaseQueen, RejectsKingToleranceLevels) {
-  PhaseKingConfig config;
-  config.algorithm = PhaseKingConfig::Algorithm::kQueen;
+  Composition config = phaseQueen();
   config.n = 9;
   config.t = 3;  // fine for the king (3t < n fails: 9 !> 9) — also bad here
   config.byzantineCount = 0;
-  EXPECT_THROW(runPhaseKing(config), std::invalid_argument);
+  EXPECT_THROW(runComposition(config), std::invalid_argument);
 }
 
 TEST(PhaseQueen, NoMonolithicBaseline) {
-  PhaseKingConfig config;
-  config.algorithm = PhaseKingConfig::Algorithm::kQueen;
-  config.monolithic = true;
-  EXPECT_THROW(runPhaseKing(config), std::invalid_argument);
+  EXPECT_THROW(harness::runMonolithic(phaseQueen()), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -196,12 +225,12 @@ TEST(LotteryReconciliator, MultivaluedConsensus) {
   // Five processes, five distinct values: binary coins cannot express this
   // (their output 0/1 may be nobody's input); the lottery can.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    BenOrConfig config;
+    Composition config;
     config.n = 5;
     config.inputs = {10, 20, 30, 40, 50};
     config.seed = 600 + seed;
-    config.reconciliator = BenOrConfig::Reconciliator::kLottery;
-    const auto result = runBenOr(config);
+    config.driver = "lottery";
+    const auto result = runComposition(config);
     EXPECT_TRUE(result.allDecided) << "seed " << seed;
     EXPECT_FALSE(result.agreementViolated);
     EXPECT_FALSE(result.validityViolated);
@@ -211,25 +240,25 @@ TEST(LotteryReconciliator, MultivaluedConsensus) {
 }
 
 TEST(LotteryReconciliator, BinaryStillWorks) {
-  BenOrConfig config;
+  Composition config;
   config.n = 8;
   config.inputs = {0, 1, 0, 1, 0, 1, 0, 1};
   config.seed = 77;
-  config.reconciliator = BenOrConfig::Reconciliator::kLottery;
-  const auto result = runBenOr(config);
+  config.driver = "lottery";
+  const auto result = runComposition(config);
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
   EXPECT_TRUE(result.allAuditsOk);
 }
 
 TEST(LotteryReconciliator, WithCrashes) {
-  BenOrConfig config;
+  Composition config;
   config.n = 7;
   config.inputs = {11, 22, 33, 44, 55, 66, 77};
   config.seed = 5;
-  config.reconciliator = BenOrConfig::Reconciliator::kLottery;
+  config.driver = "lottery";
   config.crashes = {{1, 10}, {4, 50}, {6, 5}};
-  const auto result = runBenOr(config);
+  const auto result = runComposition(config);
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
   EXPECT_FALSE(result.validityViolated);

@@ -14,6 +14,7 @@
 #include "core/vac_from_ac.hpp"
 #include "core/properties.hpp"
 #include "core/tagged_message.hpp"
+#include "compose/run.hpp"
 #include "harness/scenarios.hpp"
 #include "raft/kv_store.hpp"
 #include "sim/simulator.hpp"
@@ -21,7 +22,6 @@
 namespace ooc {
 namespace {
 
-using harness::BenOrConfig;
 using harness::RaftScenarioConfig;
 
 // ---------------------------------------------------------------------------
@@ -30,7 +30,7 @@ using harness::RaftScenarioConfig;
 TEST(Fuzz, BenOrRunsAreReproducibleAcrossRandomConfigs) {
   Rng meta(0xF00D);
   for (int trial = 0; trial < 25; ++trial) {
-    BenOrConfig config;
+    compose::Composition config;
     config.n = 3 + static_cast<std::size_t>(meta.below(10));
     config.inputs.resize(config.n);
     for (auto& v : config.inputs) v = meta.coin();
@@ -42,8 +42,8 @@ TEST(Fuzz, BenOrRunsAreReproducibleAcrossRandomConfigs) {
           static_cast<ProcessId>(meta.below(config.n)),
           static_cast<Tick>(meta.below(300)));
     }
-    const auto a = runBenOr(config);
-    const auto b = runBenOr(config);
+    const auto a = compose::runComposition(config);
+    const auto b = compose::runComposition(config);
     EXPECT_EQ(a.decidedValue, b.decidedValue) << "trial " << trial;
     EXPECT_EQ(a.lastDecisionTick, b.lastDecisionTick) << "trial " << trial;
     EXPECT_EQ(a.messagesByCorrect, b.messagesByCorrect) << "trial " << trial;

@@ -8,12 +8,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "check/replay.hpp"
 #include "check/scenario.hpp"
 #include "compose/composition.hpp"
 #include "compose/kv.hpp"
-#include "harness/serialize.hpp"
 #include "svc/run.hpp"
 
 namespace ooc::check {
@@ -21,8 +22,8 @@ namespace {
 
 Scenario benOrScenario() {
   Scenario scenario;
-  scenario.family = Family::kBenOr;
-  auto& config = scenario.benOr;
+  scenario.family = Family::kCompose;
+  auto& config = scenario.compose;
   config.n = 5;
   config.inputs = {0, 1, 0, 1, 1};
   config.seed = 42;
@@ -33,8 +34,16 @@ Scenario benOrScenario() {
 
 Scenario phaseKingScenario() {
   Scenario scenario;
-  scenario.family = Family::kPhaseKing;
-  scenario.phaseKing.seed = 7;
+  scenario.family = Family::kCompose;
+  auto& config = scenario.compose;
+  config.detector = "phaseking-ac";
+  config.driver = "king-conciliator";
+  config.n = 7;
+  config.byzantineCount = 2;
+  config.inputs = {0, 1};
+  config.seed = 7;
+  config.maxRounds = 300;
+  config.maxTicks = 100000;
   return scenario;
 }
 
@@ -190,7 +199,7 @@ TEST(Replay, MalformedCounterexampleThrows) {
       [&] { (void)svc::parseSvcConfig(svcBody + "restart=5@5+50"); },
       "5@5+50");
   Scenario benOr = benOrScenario();
-  benOr.benOr.crashes = {{9, 5}};
+  benOr.compose.crashes = {{9, 5}};
   Scenario raftCrash = raftScenario();
   raftCrash.raft.crashes = {{9, 5}};
   for (const Scenario& scenario : {benOr, raftCrash})
@@ -223,18 +232,65 @@ TEST(Replay, MalformedCounterexampleThrows) {
         [&] { (void)parseCounterexample(serializeCounterexample(file)); },
         "9@5");
   }
+
+  // Numeric fields are read whole: a sign, trailing junk or a non-number
+  // rejects the value, and the diagnostic names both key and value.
+  const std::string raftBody = serialize(raftScenario());
+  for (const auto& [key, value] : std::vector<std::pair<std::string,
+                                                        std::string>>{
+           {"n", "5x"}, {"seed", "23junk"}, {"n", "-1"}, {"bias", "0.5abc"},
+           {"inputs", "0,1x,0"}, {"n", "abc"}, {"inputs", "0,1,"}}) {
+    const std::string line = key + "=" + value + "\n";
+    try {
+      (void)compose::parseComposition(line);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + value + "'"), std::string::npos) << what;
+    }
+  }
+  EXPECT_EQ(compose::parseComposition("n=7\ninputs=-3,4\nbias=0.25\n")
+                .inputs,
+            (std::vector<Value>{-3, 4}));
+  // Raft restart and partition entries go through the same whole-field
+  // reader as crash entries.
+  for (const std::string restart : {"0x@250+1", "0@25x0+1", "0@250+1y"})
+    expectRejectedEntry(
+        [&] { (void)parseScenario(raftBody + "restart=" + restart + "\n"); },
+        restart);
+  for (const std::string partition :
+       {"2x0:0,1", "200:0,1x", "200:0,,1", "200:0,1,"})
+    expectRejectedEntry(
+        [&] {
+          (void)parseScenario(raftBody + "partition=" + partition + "\n");
+        },
+        partition);
+}
+
+TEST(Replay, RetiredFamiliesPointAtTheCompositionSpelling) {
+  for (const std::string family : {"benor", "phaseking"}) {
+    try {
+      (void)parseScenario("family=" + family + "\nn=5\n");
+      ADD_FAILURE() << "family=" << family << " still parses";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("family=compose"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(Replay, AdversaryScheduleIsPartOfTheConfig) {
   Scenario scenario = benOrScenario();
-  scenario.benOr.adversary.extraDelayMax = 8;
-  scenario.benOr.adversary.seed = 3;
+  scenario.compose.adversary.extraDelayMax = 8;
+  scenario.compose.adversary.seed = 3;
   const RecordedRun recorded = recordRun(scenario);
 
   // Same adversary: bit-identical. Different adversary seed: diverges.
   EXPECT_TRUE(replayRun(scenario, recorded.trace).identical);
   Scenario other = scenario;
-  other.benOr.adversary.seed = 4;
+  other.compose.adversary.seed = 4;
   EXPECT_FALSE(replayRun(other, recorded.trace).identical);
 }
 

@@ -15,12 +15,12 @@ namespace {
 
 check::CounterexampleFile goldenFixture() {
   check::Scenario scenario;
-  scenario.family = check::Family::kBenOr;
-  scenario.benOr.n = 4;
-  scenario.benOr.t = 1;
-  scenario.benOr.inputs = {0, 1, 1, 1};
-  scenario.benOr.seed = 3;
-  scenario.benOr.maxDelay = 2;
+  scenario.family = check::Family::kCompose;
+  scenario.compose.n = 4;
+  scenario.compose.t = 1;
+  scenario.compose.inputs = {0, 1, 1, 1};
+  scenario.compose.seed = 3;
+  scenario.compose.maxDelay = 2;
   const check::RecordedRun run = check::recordRun(scenario);
   check::CounterexampleFile file;
   file.scenario = scenario;
@@ -34,9 +34,9 @@ check::CounterexampleFile goldenFixture() {
 // changes, either the renderer's format changed (update deliberately) or
 // run determinism broke (investigate: replay must be bit-identical).
 constexpr const char* kGolden =
-    "counterexample timeline  run-id=a1531b89d8b20b14\n"
-    "scenario:  benor n=4 seed=3 mode=decomposed reconciliator=local-coin "
-    "crashes=0 max-delay=2\n"
+    "counterexample timeline  run-id=2d2b484845912a81\n"
+    "scenario:  compose n=4 seed=3 detector=benor-vac driver=local-coin "
+    "byzantine=0 crashes=0\n"
     "invariant: agreement\n"
     "detail:    golden rendering fixture\n"
     "replay:    bit-identical to recorded trace\n"

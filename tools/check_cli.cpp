@@ -6,8 +6,9 @@
 // run, shrinks each finding to a locally minimal configuration and writes
 // a standalone counterexample file that replays bit-identically.
 //
-//   check                                  # default sweep, all families
-//   check --family benor --seeds 10000     # big Ben-Or seed sweep
+//   check                                  # default sweep: Ben-Or, Phase-King
+//                                          # (as compositions) and Raft
+//   check --family compose --seeds 10000   # big Ben-Or seed sweep
 //   check --strategy crash --family raft   # enumerate Raft crash schedules
 //   check --plant-vac-bug                  # prove the checker catches bugs
 //   check --replay FILE                    # re-execute a counterexample
@@ -29,9 +30,8 @@
 #include "check/strategy.hpp"
 #include "cli_args.hpp"
 #include "compose/composition.hpp"
+#include "compose/kv.hpp"
 #include "compose/registry.hpp"
-#include "harness/scenarios.hpp"
-#include "harness/serialize.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "svc/run.hpp"
@@ -43,8 +43,7 @@ using namespace ooc;
 using namespace ooc::check;
 
 struct CliOptions {
-  std::string family = "all";  // benor | phaseking | raft | compose | fd |
-                               // svc | all
+  std::string family = "all";  // raft | compose | fd | svc | all
   std::string detector;        // --family compose/fd/svc: registry names
   std::string driver;
   std::string engine;          // --family svc: compose | paxos | raft
@@ -77,9 +76,9 @@ struct CliOptions {
 
 void printUsage(std::ostream& os) {
   os << "usage: check [options]\n"
-        "  --family F        benor | phaseking | raft | compose | fd | svc "
-        "| all\n"
-        "                    (default all = the legacy families)\n"
+        "  --family F        raft | compose | fd | svc | all (default all =\n"
+        "                    benor-vac+local-coin, phaseking-ac+king-"
+        "conciliator, raft)\n"
         "  --detector D      compose/fd/svc only: registry detector name\n"
         "  --driver R        compose/fd/svc only: registry driver name\n"
         "  --engine E        svc only: compose | paxos | raft (default "
@@ -115,7 +114,8 @@ void printUsage(std::ostream& os) {
         "                    configurations (default: off)\n"
         "  --no-shrink       report findings without minimizing them\n"
         "  --no-termination  drop the termination invariant\n"
-        "  --plant-vac-bug   Ben-Or only: plant the vac-adopt-flip fault\n"
+        "  --plant-vac-bug   compose/fd with a VAC detector only: plant the\n"
+        "                    vac-adopt-flip fault (expected to FAIL)\n"
         "  --hunt-adopt-witness  hunt paper-style decide-on-adopt "
         "witnesses\n"
         "  --replay FILE     re-execute a counterexample file and verify "
@@ -129,20 +129,6 @@ Scenario baseScenario(Family family, const CliOptions& options) {
   Scenario scenario;
   scenario.family = family;
   switch (family) {
-    case Family::kBenOr: {
-      auto& config = scenario.benOr;
-      if (options.n > 0) config.n = options.n;
-      if (options.maxDelay > 0) config.maxDelay = options.maxDelay;
-      config.inputs.resize(config.n);
-      for (std::size_t i = 0; i < config.n; ++i)
-        config.inputs[i] = static_cast<Value>(i % 2);
-      if (options.plantVacBug)
-        config.fault = harness::BenOrConfig::Fault::kVacAdoptFlip;
-      break;
-    }
-    case Family::kPhaseKing:
-      if (options.n > 0) scenario.phaseKing.n = options.n;
-      break;
     case Family::kRaft:
       if (options.n > 0) scenario.raft.n = options.n;
       if (options.maxDelay > 0) scenario.raft.maxDelay = options.maxDelay;
@@ -181,6 +167,8 @@ Scenario baseScenario(Family family, const CliOptions& options) {
       config.inputs.resize(config.n);
       for (std::size_t i = 0; i < config.n; ++i)
         config.inputs[i] = static_cast<Value>(i % 2);
+      if (options.plantVacBug)
+        config.fault = compose::PlantedFault::kVacAdoptFlip;
       break;
     }
     case Family::kSvc: {
@@ -204,9 +192,34 @@ Scenario baseScenario(Family family, const CliOptions& options) {
   return scenario;
 }
 
+/// The bases `--family all` sweeps: classic Ben-Or and classic Phase-King
+/// as compositions (Phase-King with its n = 7, f = 2 seating and short
+/// budgets), then Raft.
+std::vector<Scenario> defaultBases(const CliOptions& options) {
+  Scenario benOr = baseScenario(Family::kCompose, options);
+  CliOptions royal = options;
+  if (royal.n == 0) royal.n = 7;
+  Scenario phaseKing = baseScenario(Family::kCompose, royal);
+  auto& config = phaseKing.compose;
+  config.detector = "phaseking-ac";
+  config.driver = "king-conciliator";
+  config.byzantineCount = 2;
+  config.maxRounds = 300;
+  config.maxTicks = 100000;
+  return {benOr, phaseKing, baseScenario(Family::kRaft, options)};
+}
+
+/// The swept pairing of the composition families (`--family all` sweeps
+/// two of them, so reports name it); empty for the other families.
+std::string sweepPairing(const Scenario& base) {
+  if (base.family != Family::kCompose && base.family != Family::kFd)
+    return "";
+  return base.compose.detector + "+" + base.compose.driver;
+}
+
 std::unique_ptr<ExplorationStrategy> buildStrategy(
-    Family family, const CliOptions& options) {
-  const Scenario base = baseScenario(family, options);
+    const Scenario& base, const CliOptions& options) {
+  const Family family = base.family;
   std::vector<std::unique_ptr<ExplorationStrategy>> parts;
 
   const bool wantRandom =
@@ -245,15 +258,13 @@ std::unique_ptr<ExplorationStrategy> buildStrategy(
     rw.runs = options.seeds;
     parts.push_back(std::make_unique<RandomWalkStrategy>(base, rw));
   }
-  if (wantDelay && family != Family::kPhaseKing &&
-      (options.strategy == "delay" || composeAsync)) {
+  if (wantDelay && (options.strategy == "delay" || composeAsync)) {
     DelayBoundStrategy::Options db;
     if (options.budget > 0) db.budgets = {options.budget};
     db.adversarySeedBase = options.seedBase;
     parts.push_back(std::make_unique<DelayBoundStrategy>(base, db));
   }
-  if (wantCrash && family != Family::kPhaseKing &&
-      (options.strategy == "crash" || composeCrashModel)) {
+  if (wantCrash && (options.strategy == "crash" || composeCrashModel)) {
     CrashScheduleStrategy::Options cs;
     cs.maxCrashes = options.maxCrashes;
     parts.push_back(std::make_unique<CrashScheduleStrategy>(base, cs));
@@ -406,12 +417,12 @@ int main(int argc, char** argv) {
 
   if (!options.replayPath.empty()) return runReplay(options);
 
-  std::vector<Family> families;
+  std::vector<Scenario> bases;
   if (options.family == "all") {
-    families = {Family::kBenOr, Family::kPhaseKing, Family::kRaft};
+    bases = defaultBases(options);
   } else {
     try {
-      families = {parseFamily(options.family)};
+      bases = {baseScenario(parseFamily(options.family), options)};
     } catch (const std::exception& error) {
       std::cerr << "check: " << error.what() << "\n";
       return 2;
@@ -424,8 +435,9 @@ int main(int argc, char** argv) {
     std::cerr << "check: unknown strategy '" << options.strategy << "'\n";
     return 2;
   }
-  if (options.plantVacBug && options.family != "benor") {
-    std::cerr << "check: --plant-vac-bug needs --family benor\n";
+  if (options.plantVacBug && options.family != "compose" &&
+      options.family != "fd") {
+    std::cerr << "check: --plant-vac-bug needs --family compose or fd\n";
     return 2;
   }
   if (options.crashBeforeSync && options.family != "raft") {
@@ -471,18 +483,29 @@ int main(int argc, char** argv) {
     // Reject invalid pairings (and incoherent oracle attachments) before
     // the sweep, with the same registry diagnostic a scenario-file load or
     // compose_cli would print.
+    const compose::Composition& composition = bases.front().compose;
     try {
-      compose::resolve(baseScenario(families.front(), options).compose);
+      compose::resolve(composition);
     } catch (const std::exception& error) {
       std::cerr << "check: " << error.what() << "\n";
+      return 2;
+    }
+    // The planted fault flips adopt-level outcomes, which only a VAC
+    // detector produces next to vacillate.
+    const auto detectorClass = compose::registry()
+                                   .detector(composition.detector)
+                                   .capability.detectorClass;
+    if (options.plantVacBug &&
+        detectorClass != compose::DetectorClass::kVacillateAdoptCommit) {
+      std::cerr << "check: --plant-vac-bug needs a VAC detector; '"
+                << composition.detector << "' is not one\n";
       return 2;
     }
   }
   if (options.family == "svc") {
     // Same early rejection for the service's engine capability gate.
     try {
-      const Scenario base = baseScenario(families.front(), options);
-      if (const auto rejected = svc::validateEngine(base.svc)) {
+      if (const auto rejected = svc::validateEngine(bases.front().svc)) {
         std::cerr << "check: " << *rejected << "\n";
         return 2;
       }
@@ -521,6 +544,7 @@ int main(int argc, char** argv) {
 
   struct FamilyOutcome {
     std::string family;
+    std::string pairing;  // compose/fd sweeps only
     std::string strategy;
     std::size_t configsExplored = 0;
     std::vector<Finding> findings;
@@ -530,21 +554,21 @@ int main(int argc, char** argv) {
 
   std::size_t totalFindings = 0;
   std::size_t totalExplored = 0;
-  for (const Family family : families) {
-    const auto strategy = buildStrategy(family, options);
+  for (const Scenario& base : bases) {
+    const std::string pairing = sweepPairing(base);
+    const std::string label =
+        std::string(toString(base.family)) +
+        (pairing.empty() ? "" : " " + pairing);
+    const auto strategy = buildStrategy(base, options);
     if (!strategy) {
-      std::cout << "== " << toString(family)
-                << ": no applicable strategy, skipped\n";
+      std::cout << "== " << label << ": no applicable strategy, skipped\n";
       continue;
     }
-    std::cout << "== " << toString(family) << ": exploring "
-              << strategy->size() << " configurations (" << strategy->name()
-              << ")\n";
-    const std::string familyName = toString(family);
-    checker.onProgress = [&familyName](std::size_t explored,
-                                       std::size_t total,
-                                       std::size_t findings) {
-      std::cerr << "   [" << familyName << "] " << explored << "/" << total
+    std::cout << "== " << label << ": exploring " << strategy->size()
+              << " configurations (" << strategy->name() << ")\n";
+    checker.onProgress = [&label](std::size_t explored, std::size_t total,
+                                  std::size_t findings) {
+      std::cerr << "   [" << label << "] " << explored << "/" << total
                 << " configurations, " << findings << " finding(s)\n";
     };
     CheckReport report = explore(*strategy, invariants, checker);
@@ -560,7 +584,8 @@ int main(int argc, char** argv) {
     std::cout << "\n";
     totalFindings += report.findings.size();
     totalExplored += report.configsExplored;
-    outcomes.push_back(FamilyOutcome{familyName, strategy->name(),
+    outcomes.push_back(FamilyOutcome{toString(base.family), pairing,
+                                     strategy->name(),
                                      report.configsExplored,
                                      std::move(report.findings),
                                      std::move(report.sweep)});
@@ -577,6 +602,7 @@ int main(int argc, char** argv) {
     for (const FamilyOutcome& outcome : outcomes) {
       w.beginObject();
       w.key("family").value(outcome.family);
+      if (!outcome.pairing.empty()) w.key("pairing").value(outcome.pairing);
       w.key("strategy").value(outcome.strategy);
       w.key("configs_explored")
           .value(static_cast<std::uint64_t>(outcome.configsExplored));
@@ -588,7 +614,7 @@ int main(int argc, char** argv) {
         w.key("invariant").value(finding.violation.invariant);
         w.key("detail").value(finding.violation.detail);
         w.key("config").value(describe(scenario));
-        w.key("run_id").value(harness::configRunId(serialize(scenario)));
+        w.key("run_id").value(compose::configRunId(serialize(scenario)));
         w.key("trace").value(finding.tracePath);
         w.endObject();
       }
