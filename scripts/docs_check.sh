@@ -13,6 +13,9 @@
 #   3. The reverse direction for schema TAGS: every "ooc.<name>.vN" schema
 #      identifier emitted anywhere in the source is documented in
 #      EXPERIMENTS.md, so a new writer cannot ship an undocumented schema.
+#   4. The reverse of check 3: every ### `ooc.<name>.vN` heading in
+#      EXPERIMENTS.md names a schema some writer still emits, so deleting
+#      a writer without its section fails too.
 #
 #   scripts/docs_check.sh            # exits nonzero on any failure
 set -euo pipefail
@@ -78,9 +81,30 @@ for tag in $tags; do
   fi
 done
 
+# --- 4. documented schema tags still emitted ------------------------------
+# trajectory.py builds its tags with an f-string over its modes, so the
+# literal tags of check 3 are joined by one expansion per mode, taken from
+# the script's own mode whitelist.
+emitted="$tags"
+if grep -qF '"ooc.{mode}-trajectory.v1"' scripts/trajectory.py; then
+  modes=$(grep -oE 'mode not in \([^)]*\)' scripts/trajectory.py \
+          | grep -oE '"[a-z]+"' | tr -d '"')
+  for mode in $modes; do
+    emitted+=$'\n'"ooc.$mode-trajectory.v1"
+  done
+fi
+documented=$(grep -oE '^### `ooc\.[a-z0-9_.-]+\.v[0-9]+`' "$schema_doc" \
+             | tr -d '`' | sed 's/^### //')
+for tag in $documented; do
+  if ! grep -qxF "$tag" <<< "$emitted"; then
+    echo "docs_check: $schema_doc documents schema '$tag' but nothing emits it" >&2
+    failures=$((failures + 1))
+  fi
+done
+
 if [ "$failures" -ne 0 ]; then
   echo "FAIL: $failures docs problem(s)" >&2
   exit 1
 fi
 echo "OK: links resolve; documented schema fields exist in source;" \
-     "emitted schema tags are documented"
+     "emitted schema tags are documented; documented tags are emitted"

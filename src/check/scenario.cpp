@@ -171,6 +171,20 @@ Scenario parseScenario(const std::string& text) {
   return scenario;
 }
 
+namespace {
+
+/// " restarts=p1@200+30,p3@410+7": the wire entries, each tagged with 'p'.
+void describeRestarts(std::ostream& os,
+                      const std::vector<compose::RestartEvent>& restarts) {
+  os << " restarts=";
+  for (std::size_t i = 0; i < restarts.size(); ++i) {
+    if (i > 0) os << ',';
+    os << 'p' << compose::restartEntry(restarts[i]);
+  }
+}
+
+}  // namespace
+
 std::string describe(const Scenario& scenario) {
   std::ostringstream os;
   os << toString(scenario.family) << " n=" << scenario.processCount()
@@ -181,12 +195,7 @@ std::string describe(const Scenario& scenario) {
          << " partitions=" << scenario.raft.partitions.size()
          << " drop-prob=" << scenario.raft.dropProbability;
       if (!scenario.raft.restarts.empty()) {
-        os << " restarts=";
-        for (std::size_t i = 0; i < scenario.raft.restarts.size(); ++i) {
-          const auto& event = scenario.raft.restarts[i];
-          if (i > 0) os << ',';
-          os << 'p' << event.id << '@' << event.at << '+' << event.downtime;
-        }
+        describeRestarts(os, scenario.raft.restarts);
         os << (scenario.raft.raft.durable ? " durable" : " volatile");
         if (scenario.raft.raft.durable)
           os << (scenario.raft.raft.syncBeforeReply ? "+sync" : "+nosync");
@@ -224,12 +233,7 @@ std::string describe(const Scenario& scenario) {
          << " batch-max=" << scenario.svc.service.batchMax
          << " crashes=" << scenario.svc.crashes.size();
       if (!scenario.svc.restarts.empty()) {
-        os << " restarts=";
-        for (std::size_t i = 0; i < scenario.svc.restarts.size(); ++i) {
-          const auto& event = scenario.svc.restarts[i];
-          if (i > 0) os << ',';
-          os << 'p' << event.id << '@' << event.at << '+' << event.downtime;
-        }
+        describeRestarts(os, scenario.svc.restarts);
         os << (scenario.svc.service.durable ? " durable" : " volatile");
       }
       if (scenario.svc.adversary.enabled())

@@ -12,62 +12,86 @@ bool allEqual(const std::vector<Value>& values) {
                             std::not_equal_to<>()) == values.end();
 }
 
-void dropCrashesAbove(std::vector<std::pair<ProcessId, Tick>>& crashes,
-                      std::size_t n) {
-  std::erase_if(crashes,
+template <typename T>
+void eraseAt(std::vector<T>& items, std::size_t i) {
+  items.erase(items.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+/// The one-step reductions of `base` under construction: add() appends a
+/// copy of `base` with one edit applied to the family's config.
+template <typename Config>
+class Candidates {
+ public:
+  Candidates(const Scenario& base, Config Scenario::* member,
+             std::vector<Scenario>& out)
+      : base_(base), member_(member), out_(out) {}
+
+  template <typename Edit>
+  void add(Edit edit) const {
+    Scenario candidate = base_;
+    edit(candidate.*member_);
+    out_.push_back(std::move(candidate));
+  }
+
+ private:
+  const Scenario& base_;
+  Config Scenario::* member_;
+  std::vector<Scenario>& out_;
+};
+
+/// Drops every fault entry naming a process the shrunk config lost. Raft
+/// and svc configs carry restarts too; compositions have crashes only.
+template <typename Config>
+void dropFaultsAbove(Config& config) {
+  const std::size_t n = config.n;
+  std::erase_if(config.crashes,
                 [n](const auto& crash) { return crash.first >= n; });
+  if constexpr (requires { config.restarts; })
+    std::erase_if(config.restarts,
+                  [n](const auto& event) { return event.id >= n; });
+}
+
+/// Fault-schedule reductions, smaller schedules first: drop each crash,
+/// pull each crash earlier, then drop each restart, pull each restart
+/// earlier and shorten each downtime.
+template <typename Config>
+void eachFaultReduction(const Config& config,
+                        const Candidates<Config>& candidates) {
+  for (std::size_t i = 0; i < config.crashes.size(); ++i)
+    candidates.add([i](Config& c) { eraseAt(c.crashes, i); });
+  for (std::size_t i = 0; i < config.crashes.size(); ++i) {
+    if (config.crashes[i].second > 1)
+      candidates.add([i](Config& c) { c.crashes[i].second /= 2; });
+  }
+  if constexpr (requires { config.restarts; }) {
+    for (std::size_t i = 0; i < config.restarts.size(); ++i)
+      candidates.add([i](Config& c) { eraseAt(c.restarts, i); });
+    for (std::size_t i = 0; i < config.restarts.size(); ++i) {
+      if (config.restarts[i].at > 1)
+        candidates.add([i](Config& c) { c.restarts[i].at /= 2; });
+      if (config.restarts[i].downtime > 1)
+        candidates.add([i](Config& c) { c.restarts[i].downtime /= 2; });
+    }
+  }
 }
 
 template <typename Config>
-void eachCrashReduction(const Scenario& base, const Config& config,
-                        Config Scenario::* member,
-                        std::vector<Scenario>& out) {
-  for (std::size_t i = 0; i < config.crashes.size(); ++i) {
-    Scenario candidate = base;
-    auto& crashes = (candidate.*member).crashes;
-    crashes.erase(crashes.begin() + static_cast<std::ptrdiff_t>(i));
-    out.push_back(std::move(candidate));
-  }
-  for (std::size_t i = 0; i < config.crashes.size(); ++i) {
-    if (config.crashes[i].second <= 1) continue;
-    Scenario candidate = base;
-    auto& crash = (candidate.*member).crashes[i];
-    crash.second = std::max<Tick>(1, crash.second / 2);
-    out.push_back(std::move(candidate));
-  }
+void eachAdversaryReduction(const Config& config,
+                            const Candidates<Config>& candidates) {
+  if (!config.adversary.enabled()) return;
+  candidates.add([](Config& c) { c.adversary.extraDelayMax = 0; });
+  if (config.adversary.extraDelayMax > 1)
+    candidates.add([](Config& c) { c.adversary.extraDelayMax /= 2; });
 }
 
-void eachAdversaryReduction(const Scenario& base,
-                            const harness::AdversaryOptions& adversary,
-                            std::vector<Scenario>& out, Family family) {
-  if (!adversary.enabled()) return;
-  const auto set = [&](Tick budget) {
-    Scenario candidate = base;
-    auto& target = family == Family::kRaft  ? candidate.raft.adversary
-                   : family == Family::kSvc ? candidate.svc.adversary
-                                            : candidate.compose.adversary;
-    target.extraDelayMax = budget;
-    out.push_back(std::move(candidate));
-  };
-  set(0);
-  if (adversary.extraDelayMax > 1) set(adversary.extraDelayMax / 2);
-}
-
-void eachInputSimplification(const Scenario& base,
-                             const std::vector<Value>& inputs,
-                             std::vector<Scenario>& out, Family family) {
-  if (inputs.empty() || allEqual(inputs)) return;
+/// Raft and compositions only: the service has no input vector.
+template <typename Config>
+void eachInputSimplification(const Config& config,
+                             const Candidates<Config>& candidates) {
+  if (config.inputs.empty() || allEqual(config.inputs)) return;
   for (const Value v : {Value{0}, Value{1}}) {
-    Scenario candidate = base;
-    std::vector<Value>* target = nullptr;
-    switch (family) {
-      case Family::kRaft: target = &candidate.raft.inputs; break;
-      case Family::kCompose:
-      case Family::kFd: target = &candidate.compose.inputs; break;
-      case Family::kSvc: return;  // the service has no input vector
-    }
-    std::fill(target->begin(), target->end(), v);
-    out.push_back(std::move(candidate));
+    candidates.add(
+        [v](Config& c) { std::fill(c.inputs.begin(), c.inputs.end(), v); });
   }
 }
 
@@ -77,191 +101,96 @@ std::vector<Scenario> reductions(const Scenario& base) {
   switch (base.family) {
     case Family::kRaft: {
       const auto& config = base.raft;
-      eachCrashReduction(base, config, &Scenario::raft, out);
-      // Restart reductions: drop each event, then pull each event earlier
-      // and shorten each downtime (smaller schedules first).
-      for (std::size_t i = 0; i < config.restarts.size(); ++i) {
-        Scenario candidate = base;
-        auto& restarts = candidate.raft.restarts;
-        restarts.erase(restarts.begin() + static_cast<std::ptrdiff_t>(i));
-        out.push_back(std::move(candidate));
-      }
-      for (std::size_t i = 0; i < config.restarts.size(); ++i) {
-        if (config.restarts[i].at > 1) {
-          Scenario candidate = base;
-          auto& event = candidate.raft.restarts[i];
-          event.at = std::max<Tick>(1, event.at / 2);
-          out.push_back(std::move(candidate));
-        }
-        if (config.restarts[i].downtime > 1) {
-          Scenario candidate = base;
-          auto& event = candidate.raft.restarts[i];
-          event.downtime = std::max<Tick>(1, event.downtime / 2);
-          out.push_back(std::move(candidate));
-        }
-      }
-      for (std::size_t i = 0; i < config.partitions.size(); ++i) {
-        Scenario candidate = base;
-        auto& partitions = candidate.raft.partitions;
-        partitions.erase(partitions.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-        out.push_back(std::move(candidate));
-      }
+      const Candidates candidates(base, &Scenario::raft, out);
+      eachFaultReduction(config, candidates);
+      for (std::size_t i = 0; i < config.partitions.size(); ++i)
+        candidates.add([i](auto& c) { eraseAt(c.partitions, i); });
       if (config.n > 3) {
-        Scenario candidate = base;
-        auto& c = candidate.raft;
-        --c.n;
-        if (!c.inputs.empty()) c.inputs.resize(c.n);
-        dropCrashesAbove(c.crashes, c.n);
-        std::erase_if(c.restarts,
-                      [&c](const auto& event) { return event.id >= c.n; });
-        for (auto& partition : c.partitions)
-          if (partition.groups.size() > c.n) partition.groups.resize(c.n);
-        out.push_back(std::move(candidate));
+        candidates.add([](auto& c) {
+          --c.n;
+          if (!c.inputs.empty()) c.inputs.resize(c.n);
+          dropFaultsAbove(c);
+          for (auto& partition : c.partitions)
+            if (partition.groups.size() > c.n) partition.groups.resize(c.n);
+        });
       }
-      if (config.dropProbability > 0.0) {
-        Scenario candidate = base;
-        candidate.raft.dropProbability = 0.0;
-        out.push_back(std::move(candidate));
-      }
-      if (config.duplicateProbability > 0.0) {
-        Scenario candidate = base;
-        candidate.raft.duplicateProbability = 0.0;
-        out.push_back(std::move(candidate));
-      }
-      if (config.maxDelay > config.minDelay) {
-        Scenario candidate = base;
-        candidate.raft.maxDelay = config.minDelay;
-        out.push_back(std::move(candidate));
-      }
-      eachAdversaryReduction(base, config.adversary, out, Family::kRaft);
-      eachInputSimplification(base, config.inputs, out, Family::kRaft);
+      if (config.dropProbability > 0.0)
+        candidates.add([](auto& c) { c.dropProbability = 0.0; });
+      if (config.duplicateProbability > 0.0)
+        candidates.add([](auto& c) { c.duplicateProbability = 0.0; });
+      if (config.maxDelay > config.minDelay)
+        candidates.add([](auto& c) { c.maxDelay = c.minDelay; });
+      eachAdversaryReduction(config, candidates);
+      eachInputSimplification(config, candidates);
       break;
     }
     case Family::kCompose:
     case Family::kFd: {
       const auto& config = base.compose;
-      eachCrashReduction(base, config, &Scenario::compose, out);
+      const Candidates candidates(base, &Scenario::compose, out);
+      eachFaultReduction(config, candidates);
       // Scheduler reduction: a counterexample that survives under the
       // lockstep policy doesn't need round skew to manifest — try the
       // synchronized schedule before blaming the scheduling policy. (The
       // ooo-driver → event-driven step is not a reduction: the policies
       // are siblings, not a ladder.)
-      if (config.scheduler != SchedulingPolicy::kLockstep) {
-        Scenario candidate = base;
-        candidate.compose.scheduler = SchedulingPolicy::kLockstep;
-        out.push_back(std::move(candidate));
-      }
+      if (config.scheduler != SchedulingPolicy::kLockstep)
+        candidates.add(
+            [](auto& c) { c.scheduler = SchedulingPolicy::kLockstep; });
       // Oracle-quality reductions: a counterexample that survives with a
       // quieter/faster oracle is a stronger counterexample.
       if (!config.oracle.empty()) {
-        if (config.oracleKnobs.noise > 0.0) {
-          Scenario candidate = base;
-          candidate.compose.oracleKnobs.noise = 0.0;
-          out.push_back(std::move(candidate));
-        }
+        if (config.oracleKnobs.noise > 0.0)
+          candidates.add([](auto& c) { c.oracleKnobs.noise = 0.0; });
         if (config.oracleKnobs.stabilizeAt > 0) {
-          Scenario candidate = base;
-          candidate.compose.oracleKnobs.stabilizeAt = 0;
-          out.push_back(std::move(candidate));
-          candidate = base;
-          candidate.compose.oracleKnobs.stabilizeAt /= 2;
-          out.push_back(std::move(candidate));
+          candidates.add([](auto& c) { c.oracleKnobs.stabilizeAt = 0; });
+          candidates.add([](auto& c) { c.oracleKnobs.stabilizeAt /= 2; });
         }
-        if (config.oracleKnobs.completenessLag > 1) {
-          Scenario candidate = base;
-          candidate.compose.oracleKnobs.completenessLag /= 2;
-          out.push_back(std::move(candidate));
-        }
+        if (config.oracleKnobs.completenessLag > 1)
+          candidates.add([](auto& c) { c.oracleKnobs.completenessLag /= 2; });
       }
-      if (config.byzantineCount > 0) {
-        Scenario candidate = base;
-        --candidate.compose.byzantineCount;
-        out.push_back(std::move(candidate));
-      }
+      if (config.byzantineCount > 0)
+        candidates.add([](auto& c) { --c.byzantineCount; });
       if (config.n > 4) {
-        Scenario candidate = base;
-        auto& c = candidate.compose;
-        --c.n;
-        c.t.reset();  // recompute the default threshold for the new n
-        if (c.byzantineCount >= c.n) c.byzantineCount = c.n - 1;
-        dropCrashesAbove(c.crashes, c.n);
-        out.push_back(std::move(candidate));
+        candidates.add([](auto& c) {
+          --c.n;
+          c.t.reset();  // recompute the default threshold for the new n
+          if (c.byzantineCount >= c.n) c.byzantineCount = c.n - 1;
+          dropFaultsAbove(c);
+        });
       }
       if (config.maxDelay > config.minDelay) {
-        Scenario candidate = base;
-        candidate.compose.maxDelay = config.minDelay;
-        out.push_back(std::move(candidate));
+        candidates.add([](auto& c) { c.maxDelay = c.minDelay; });
         const Tick mid = (config.minDelay + config.maxDelay) / 2;
-        if (mid != config.minDelay && mid != config.maxDelay) {
-          candidate = base;
-          candidate.compose.maxDelay = mid;
-          out.push_back(std::move(candidate));
-        }
+        if (mid != config.minDelay && mid != config.maxDelay)
+          candidates.add([mid](auto& c) { c.maxDelay = mid; });
       }
-      eachAdversaryReduction(base, config.adversary, out, Family::kCompose);
-      eachInputSimplification(base, config.inputs, out, Family::kCompose);
+      eachAdversaryReduction(config, candidates);
+      eachInputSimplification(config, candidates);
       break;
     }
     case Family::kSvc: {
       const auto& config = base.svc;
-      eachCrashReduction(base, config, &Scenario::svc, out);
-      // Restart reductions mirror the Raft family's: drop each event, pull
-      // it earlier, shorten its downtime.
-      for (std::size_t i = 0; i < config.restarts.size(); ++i) {
-        Scenario candidate = base;
-        auto& restarts = candidate.svc.restarts;
-        restarts.erase(restarts.begin() + static_cast<std::ptrdiff_t>(i));
-        out.push_back(std::move(candidate));
-      }
-      for (std::size_t i = 0; i < config.restarts.size(); ++i) {
-        if (config.restarts[i].at > 1) {
-          Scenario candidate = base;
-          auto& event = candidate.svc.restarts[i];
-          event.at = std::max<Tick>(1, event.at / 2);
-          out.push_back(std::move(candidate));
-        }
-        if (config.restarts[i].downtime > 1) {
-          Scenario candidate = base;
-          auto& event = candidate.svc.restarts[i];
-          event.downtime = std::max<Tick>(1, event.downtime / 2);
-          out.push_back(std::move(candidate));
-        }
-      }
+      const Candidates candidates(base, &Scenario::svc, out);
+      eachFaultReduction(config, candidates);
       // Shallower pipeline, smaller batches, less traffic: a finding that
       // survives with window=1 batch=1 is nearly the sequential log.
-      if (config.service.window > 1) {
-        Scenario candidate = base;
-        candidate.svc.service.window = config.service.window / 2;
-        out.push_back(std::move(candidate));
-      }
-      if (config.service.batchMax > 1) {
-        Scenario candidate = base;
-        candidate.svc.service.batchMax = config.service.batchMax / 2;
-        out.push_back(std::move(candidate));
-      }
-      if (config.workload.commandsPerNode > 2) {
-        Scenario candidate = base;
-        candidate.svc.workload.commandsPerNode =
-            config.workload.commandsPerNode / 2;
-        out.push_back(std::move(candidate));
-      }
+      if (config.service.window > 1)
+        candidates.add([](auto& c) { c.service.window /= 2; });
+      if (config.service.batchMax > 1)
+        candidates.add([](auto& c) { c.service.batchMax /= 2; });
+      if (config.workload.commandsPerNode > 2)
+        candidates.add([](auto& c) { c.workload.commandsPerNode /= 2; });
       if (config.n > 3) {
-        Scenario candidate = base;
-        auto& c = candidate.svc;
-        --c.n;
-        c.t.reset();
-        dropCrashesAbove(c.crashes, c.n);
-        std::erase_if(c.restarts,
-                      [&c](const auto& event) { return event.id >= c.n; });
-        out.push_back(std::move(candidate));
+        candidates.add([](auto& c) {
+          --c.n;
+          c.t.reset();
+          dropFaultsAbove(c);
+        });
       }
-      if (config.maxDelay > config.minDelay) {
-        Scenario candidate = base;
-        candidate.svc.maxDelay = config.minDelay;
-        out.push_back(std::move(candidate));
-      }
-      eachAdversaryReduction(base, config.adversary, out, Family::kSvc);
+      if (config.maxDelay > config.minDelay)
+        candidates.add([](auto& c) { c.maxDelay = c.minDelay; });
+      eachAdversaryReduction(config, candidates);
       break;
     }
   }

@@ -4,16 +4,15 @@
 // made literal: the pairing is data, resolved against the registry at run
 // time, not a code path.
 //
-// Three interchange forms, all strict (malformed input throws):
+// Two interchange forms, both strict (malformed input throws):
 //   * CLI spec strings:  "benor-vac+local-coin"
 //   * key=value blocks:  the scenario/counterexample wire format
 //     (family=compose in src/check/), sharing compose/kv.hpp with the
 //     Raft and svc config serializers
-//   * JSON objects:      for tooling that already speaks ooc.*.v1 schemas
 //
-// Every parse path re-validates the pairing against the registry, so a
+// Both parse paths re-validate the pairing against the registry, so a
 // rejected composition carries the same capability diagnostic whether it
-// arrives from a flag, a counterexample file, or a JSON document.
+// arrives from a flag or a counterexample file.
 #pragma once
 
 #include <cstdint>
@@ -107,6 +106,10 @@ struct ResolvedComposition {
 /// diagnostic on an invalid composition.
 ResolvedComposition resolve(const Composition& composition);
 
+/// Diagnostic naming a biased-coin probability outside [0,1] (NaN
+/// included); nullopt for a valid one. Shared with the svc engine gate.
+std::optional<std::string> invalidBias(double bias);
+
 /// "detector+driver" CLI spec, e.g. "benor-vac+timer". Whitespace around
 /// either name is trimmed; a missing '+' or empty side throws. The oracle
 /// (with its quality knobs) joins the composition before the validating
@@ -117,13 +120,10 @@ Composition parseSpec(const std::string& spec, const std::string& oracle = "",
 
 /// key=value wire format (stamped with `# run-id=`), the family=compose
 /// payload of serialized scenarios and counterexamples. parseComposition
-/// re-validates the pairing: a rejected pairing loaded from a file throws
-/// the same diagnostic the CLI prints.
+/// rejects unknown and repeated keys and re-validates the pairing: a
+/// rejected pairing loaded from a file throws the same diagnostic the CLI
+/// prints.
 std::string serialize(const Composition& composition);
 Composition parseComposition(const std::string& text);
-
-/// JSON object form (strict single-document parse; unknown keys throw).
-std::string toJson(const Composition& composition);
-Composition fromJson(const std::string& json);
 
 }  // namespace ooc::compose

@@ -33,7 +33,7 @@ KvReader::KvReader(const std::string& text) {
     const auto eq = line.find('=');
     if (eq == std::string::npos)
       throw std::runtime_error("config: malformed line '" + line + "'");
-    entries_[line.substr(0, eq)].push_back(line.substr(eq + 1));
+    entries_[line.substr(0, eq)].values.push_back(line.substr(eq + 1));
   }
 }
 
@@ -41,13 +41,25 @@ std::string KvReader::get(const std::string& key) const {
   const auto it = entries_.find(key);
   if (it == entries_.end())
     throw std::runtime_error("config: missing key '" + key + "'");
-  return it->second.front();
+  it->second.read = true;
+  if (it->second.values.size() > 1)
+    throw std::runtime_error("config: repeated key '" + key + "'");
+  return it->second.values.front();
 }
 
 const std::vector<std::string>& KvReader::getAll(const std::string& key) const {
   static const std::vector<std::string> kEmpty;
   const auto it = entries_.find(key);
-  return it == entries_.end() ? kEmpty : it->second;
+  if (it == entries_.end()) return kEmpty;
+  it->second.read = true;
+  return it->second.values;
+}
+
+void KvReader::rejectUnreadKeys() const {
+  for (const auto& [key, entry] : entries_) {
+    if (!entry.read)
+      throw std::runtime_error("config: unknown key '" + key + "'");
+  }
 }
 
 namespace {
@@ -122,12 +134,42 @@ std::pair<ProcessId, Tick> parseCrash(const std::string& entry) {
   return {static_cast<ProcessId>(*id), *tick};
 }
 
+std::string restartEntry(const RestartEvent& event) {
+  return std::to_string(event.id) + "@" + std::to_string(event.at) + "+" +
+         std::to_string(event.downtime);
+}
+
+RestartEvent parseRestart(const std::string& entry) {
+  const std::string_view text(entry);
+  const auto at = text.find('@');
+  const auto plus = at == std::string_view::npos ? at : text.find('+', at);
+  std::optional<std::uint64_t> id, tick, downtime;
+  if (plus != std::string_view::npos) {
+    id = parseEntryU64(text.substr(0, at));
+    tick = parseEntryU64(text.substr(at + 1, plus - at - 1));
+    downtime = parseEntryU64(text.substr(plus + 1));
+  }
+  if (!id || !tick || !downtime ||
+      *id > std::numeric_limits<ProcessId>::max())
+    throw std::runtime_error("config: malformed restart '" + entry + "'");
+  return {static_cast<ProcessId>(*id), *tick, *downtime};
+}
+
 std::optional<std::string> unknownCrashProcess(
-    const std::vector<std::pair<ProcessId, Tick>>& crashes, std::size_t n) {
+    const std::vector<std::pair<ProcessId, Tick>>& crashes,
+    const std::vector<RestartEvent>& restarts, std::size_t n) {
+  const auto diagnostic = [n](const std::string& kind,
+                              const std::string& entry, ProcessId id) {
+    return kind + " '" + entry + "' names process " + std::to_string(id) +
+           ", but n=" + std::to_string(n);
+  };
   for (const auto& crash : crashes) {
     if (crash.first >= n)
-      return "crash '" + crashEntry(crash) + "' names process " +
-             std::to_string(crash.first) + ", but n=" + std::to_string(n);
+      return diagnostic("crash", crashEntry(crash), crash.first);
+  }
+  for (const RestartEvent& event : restarts) {
+    if (event.id >= n)
+      return diagnostic("restart", restartEntry(event), event.id);
   }
   return std::nullopt;
 }
@@ -144,6 +186,15 @@ AdversaryOptions getAdversary(const KvReader& kv) {
   adversary.perturbProbability = kv.getDouble("adversary-prob", 1.0);
   adversary.seed = kv.getU64("adversary-seed", 1);
   return adversary;
+}
+
+SchedulingPolicy getScheduler(const KvReader& kv) {
+  const std::string name = kv.get("scheduler", "lockstep");
+  const auto policy = parseSchedulingPolicy(name);
+  if (!policy)
+    throw std::runtime_error("unknown scheduler '" + name +
+                             "'; known: lockstep, event-driven, ooo-driver");
+  return *policy;
 }
 
 }  // namespace ooc::compose

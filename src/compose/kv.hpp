@@ -1,8 +1,9 @@
 // The key=value wire format shared by every serializable configuration
 // (compositions, Raft and svc scenario configs, counterexample files): one
 // `key=value` pair per line, repeated keys for lists of structured entries
-// (crash=pid@tick). Parsing is strict — malformed lines throw — because a
-// counterexample that silently loses a field reproduces nothing.
+// (crash=pid@tick, restart=pid@tick+downtime). Parsing is strict —
+// malformed lines, unknown keys and repeated singular keys throw — because
+// a counterexample that silently loses a field reproduces nothing.
 //
 // The composition layer, the Raft serializer (src/harness/) and the svc
 // serializer share one writer/reader and one run-id rule.
@@ -14,11 +15,12 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <map>
 #include <utility>
 #include <vector>
 
 #include "compose/hooks.hpp"
+#include "core/scheduling.hpp"
 #include "util/types.hpp"
 
 namespace ooc::compose {
@@ -71,6 +73,8 @@ class KvReader {
 
   bool has(const std::string& key) const { return entries_.contains(key); }
 
+  /// Every getter marks its key read. The singular getters (all but
+  /// getAll) throw std::runtime_error when the key appears more than once.
   std::string get(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const {
     return has(key) ? get(key) : fallback;
@@ -85,8 +89,17 @@ class KvReader {
   const std::vector<std::string>& getAll(const std::string& key) const;
   std::vector<Value> getValues(const std::string& key) const;
 
+  /// Ends a parse: throws std::runtime_error naming a key no getter read,
+  /// so a mistyped or retired key fails the load instead of silently
+  /// leaving its field at the default.
+  void rejectUnreadKeys() const;
+
  private:
-  std::unordered_map<std::string, std::vector<std::string>> entries_;
+  struct Entry {
+    std::vector<std::string> values;
+    mutable bool read = false;
+  };
+  std::map<std::string, Entry> entries_;
 };
 
 /// A whole field of a structured entry as an unsigned decimal; nullopt
@@ -99,14 +112,33 @@ std::optional<std::uint64_t> parseEntryU64(std::string_view field);
 std::string crashEntry(const std::pair<ProcessId, Tick>& crash);
 std::pair<ProcessId, Tick> parseCrash(const std::string& entry);
 
-/// Diagnostic naming the first crash entry whose process id is not below
-/// `n`, or nullopt when every entry names a real process.
+/// Crash-restart timeline entry, shared by the Raft and svc scenario
+/// specs: process `id` crashes at `at` (losing volatile state and any
+/// unsynced journal writes) and rejoins after `downtime` ticks with a fresh
+/// incarnation. On the wire: `pid@tick+downtime`; parseRestart throws
+/// std::runtime_error naming the entry on any malformed field.
+struct RestartEvent {
+  ProcessId id = 0;
+  Tick at = 0;
+  Tick downtime = 50;
+};
+std::string restartEntry(const RestartEvent& event);
+RestartEvent parseRestart(const std::string& entry);
+
+/// Diagnostic naming the first crash entry, then the first restart entry,
+/// whose process id is not below `n`; nullopt when every entry names a
+/// real process.
 std::optional<std::string> unknownCrashProcess(
-    const std::vector<std::pair<ProcessId, Tick>>& crashes, std::size_t n);
+    const std::vector<std::pair<ProcessId, Tick>>& crashes,
+    const std::vector<RestartEvent>& restarts, std::size_t n);
 
 /// Delay-adversary triple (`adversary-budget/-prob/-seed`), shared by every
 /// asynchronous family's serializer.
 void putAdversary(KvWriter& kv, const AdversaryOptions& adversary);
 AdversaryOptions getAdversary(const KvReader& kv);
+
+/// The optional `scheduler` key (lockstep when absent); an unknown policy
+/// name throws std::runtime_error listing the known ones.
+SchedulingPolicy getScheduler(const KvReader& kv);
 
 }  // namespace ooc::compose

@@ -60,6 +60,18 @@ const char* toString(OracleRequirement requirement) noexcept {
   return "?";
 }
 
+phaseking::ByzantineStrategy parseRoyalStrategy(const std::string& name) {
+  using S = phaseking::ByzantineStrategy;
+  if (name == "silent") return S::kSilent;
+  if (name == "random") return S::kRandom;
+  if (name == "equivocate") return S::kEquivocate;
+  if (name == "lying-king") return S::kLyingKing;
+  if (name == "anti-king") return S::kAntiKing;
+  throw std::invalid_argument("unknown byzantine strategy '" + name +
+                              "'; known: silent, random, equivocate, "
+                              "lying-king, anti-king");
+}
+
 namespace {
 
 std::string joinNames(const std::vector<std::string>& names) {
@@ -80,18 +92,6 @@ benor::AsyncByzantineStrategy parseAsyncStrategy(const std::string& name) {
   throw std::invalid_argument("unknown async byzantine strategy '" + name +
                               "'; known: silent, equivocate, random, "
                               "contrarian");
-}
-
-phaseking::ByzantineStrategy parseRoyalStrategy(const std::string& name) {
-  using S = phaseking::ByzantineStrategy;
-  if (name == "silent") return S::kSilent;
-  if (name == "random") return S::kRandom;
-  if (name == "equivocate") return S::kEquivocate;
-  if (name == "lying-king") return S::kLyingKing;
-  if (name == "anti-king") return S::kAntiKing;
-  throw std::invalid_argument("unknown byzantine strategy '" + name +
-                              "'; known: silent, random, equivocate, "
-                              "lying-king, anti-king");
 }
 
 void registerBuiltins(Registry& reg) {

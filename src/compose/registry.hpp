@@ -25,6 +25,7 @@
 #include "core/objects.hpp"
 #include "core/scheduling.hpp"
 #include "fd/oracle.hpp"
+#include "phaseking/byzantine.hpp"
 #include "sim/process.hpp"
 
 namespace ooc::compose {
@@ -139,5 +140,10 @@ class Registry {
 /// registered on first use (lazily, so static initialization order and
 /// static-library dead stripping cannot lose them).
 Registry& registry();
+
+/// The royal detectors' attacker strategy names (phaseking-ac,
+/// phasequeen-ac): silent, random, equivocate, lying-king, anti-king.
+/// Throws std::invalid_argument listing the known names otherwise.
+phaseking::ByzantineStrategy parseRoyalStrategy(const std::string& name);
 
 }  // namespace ooc::compose

@@ -100,16 +100,9 @@ std::unique_ptr<NetworkModel> wrapAdversary(std::unique_ptr<NetworkModel> net,
   return std::make_unique<DelayAdversaryNetwork>(std::move(net), adv);
 }
 
-CompositionResult runComposition(const Composition& composition,
-                                 const RunHooks& hooks) {
-  const ResolvedComposition resolved = resolve(composition);
+std::vector<bool> byzantineSlots(const Composition& composition) {
   const std::size_t n = composition.n;
   const std::size_t f = composition.byzantineCount;
-  const bool vacDetector = resolved.detector->capability.detectorClass ==
-                           DetectorClass::kVacillateAdoptCommit;
-
-  // Byzantine slots per placement. Kings rotate from id 0, so front
-  // placement gives the adversary the first reigns (the hard case).
   std::vector<bool> isByz(n, false);
   switch (composition.placement) {
     case Placement::kFront:
@@ -122,6 +115,16 @@ CompositionResult runComposition(const Composition& composition,
       for (std::size_t i = 0; i < f; ++i) isByz[(i * n) / f] = true;
       break;
   }
+  return isByz;
+}
+
+CompositionResult runComposition(const Composition& composition,
+                                 const RunHooks& hooks) {
+  const ResolvedComposition resolved = resolve(composition);
+  const std::size_t n = composition.n;
+  const bool vacDetector = resolved.detector->capability.detectorClass ==
+                           DetectorClass::kVacillateAdoptCommit;
+  const std::vector<bool> isByz = byzantineSlots(composition);
 
   SimConfig simConfig;
   simConfig.seed = composition.seed;

@@ -60,6 +60,11 @@ struct CompositionResult {
   std::optional<fd::OracleAudit> oracleAudit;
 };
 
+/// Byzantine seats by process id (true = planted faulty), per the
+/// composition's placement. Kings rotate from id 0, so front placement
+/// gives the adversary the first reigns (the hard case).
+std::vector<bool> byzantineSlots(const Composition& composition);
+
 /// Runs one composition to the stop condition. Deterministic in
 /// (composition, seed); throws std::invalid_argument on an invalid
 /// composition (unknown names, rejected pairing, bad parameters).

@@ -30,33 +30,6 @@ using compose::roundLabel;
 using compose::withLabel;
 using compose::wrapAdversary;
 
-phaseking::ByzantineStrategy royalStrategy(const std::string& name) {
-  using S = phaseking::ByzantineStrategy;
-  for (const S strategy : {S::kSilent, S::kRandom, S::kEquivocate,
-                           S::kLyingKing, S::kAntiKing})
-    if (name == phaseking::toString(strategy)) return strategy;
-  throw std::invalid_argument("unknown byzantine strategy '" + name + "'");
-}
-
-/// Byzantine slots per placement, as compose::runComposition() seats them.
-std::vector<bool> byzantineSlots(const compose::Composition& composition) {
-  const std::size_t n = composition.n;
-  const std::size_t f = composition.byzantineCount;
-  std::vector<bool> isByz(n, false);
-  switch (composition.placement) {
-    case compose::Placement::kFront:
-      for (std::size_t i = 0; i < f; ++i) isByz[i] = true;
-      break;
-    case compose::Placement::kBack:
-      for (std::size_t i = 0; i < f; ++i) isByz[n - 1 - i] = true;
-      break;
-    case compose::Placement::kSpread:
-      for (std::size_t i = 0; i < f; ++i) isByz[(i * n) / f] = true;
-      break;
-  }
-  return isByz;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -97,14 +70,15 @@ compose::CompositionResult runMonolithic(
 
   // Inputs follow the Composition rule: a pattern over correct ids that
   // repeats, alternating 0,1 when empty.
-  const std::vector<bool> isByz = byzantineSlots(composition);
+  const std::vector<bool> isByz = compose::byzantineSlots(composition);
   std::vector<benor::MonolithicBenOr*> classicBenOr(n, nullptr);
   std::vector<phaseking::MonolithicPhaseKing*> classicKing(n, nullptr);
   std::vector<Value> validInputs;
   for (ProcessId id = 0; id < n; ++id) {
     if (isByz[id]) {
       sim.addProcess(std::make_unique<phaseking::PhaseKingByzantine>(
-                         royalStrategy(composition.byzantineStrategy),
+                         compose::parseRoyalStrategy(
+                             composition.byzantineStrategy),
                          phaseking::PhaseKingByzantine::Wire::kClassic),
                      /*faulty=*/true);
       continue;

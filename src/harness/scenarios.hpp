@@ -13,6 +13,7 @@
 
 #include "compose/composition.hpp"
 #include "compose/hooks.hpp"
+#include "compose/kv.hpp"
 #include "compose/run.hpp"
 #include "raft/types.hpp"
 #include "util/types.hpp"
@@ -57,16 +58,9 @@ struct RaftScenarioConfig {
   double duplicateProbability = 0.0;
   std::vector<std::pair<ProcessId, Tick>> crashes;
 
-  /// Crash-restart timeline: process `id` crashes at `at` (losing volatile
-  /// state and any unsynced journal writes) and rejoins after `downtime`
-  /// ticks with a fresh incarnation. Whether anything survives the restart
-  /// is governed by `raft.durable` / `raft.syncBeforeReply`.
-  struct RestartEvent {
-    ProcessId id = 0;
-    Tick at = 0;
-    Tick downtime = 50;
-  };
-  std::vector<RestartEvent> restarts;
+  /// Crash-restart timeline (compose/kv.hpp). Whether anything survives a
+  /// restart is governed by `raft.durable` / `raft.syncBeforeReply`.
+  std::vector<compose::RestartEvent> restarts;
 
   /// Partition timeline: at `at`, impose `groups` (one id per process);
   /// an empty vector heals the network.

@@ -1,7 +1,6 @@
 #include "harness/serialize.hpp"
 
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -20,7 +19,9 @@ using compose::crashEntry;
 using compose::getAdversary;
 using compose::parseCrash;
 using compose::parseEntryU64;
+using compose::parseRestart;
 using compose::putAdversary;
+using compose::restartEntry;
 using compose::stampRunId;
 
 // ---------------------------------------------------------------------------
@@ -45,12 +46,8 @@ std::string serialize(const RaftScenarioConfig& config) {
     }
     kv.put("partition", os.str());
   }
-  // Restart entries: "pid@tick+downtime".
-  for (const auto& event : config.restarts) {
-    kv.put("restart", std::to_string(event.id) + "@" +
-                          std::to_string(event.at) + "+" +
-                          std::to_string(event.downtime));
-  }
+  for (const auto& event : config.restarts)
+    kv.put("restart", restartEntry(event));
   kv.put("election-min", config.raft.electionTimeoutMin);
   kv.put("election-max", config.raft.electionTimeoutMax);
   kv.put("heartbeat", config.raft.heartbeatInterval);
@@ -114,30 +111,11 @@ RaftScenarioConfig parseRaftConfig(const std::string& text) {
       kv.getU64("max-append", config.raft.maxEntriesPerAppend);
   config.raft.compactionThreshold =
       kv.getU64("compaction", config.raft.compactionThreshold);
+  for (const std::string& entry : kv.getAll("restart"))
+    config.restarts.push_back(parseRestart(entry));
   // Durability keys are absent from configs predating crash-recovery; the
   // fallbacks reproduce the old semantics (no journal, restarts are fresh
   // boots).
-  for (const std::string& entry : kv.getAll("restart")) {
-    const std::string_view text(entry);
-    const auto at = text.find('@');
-    const auto plus =
-        at == std::string_view::npos ? at : text.find('+', at);
-    const auto id = parseEntryU64(text.substr(0, at));
-    const auto tick = plus == std::string_view::npos
-                          ? std::nullopt
-                          : parseEntryU64(text.substr(at + 1, plus - at - 1));
-    const auto downtime = plus == std::string_view::npos
-                              ? std::nullopt
-                              : parseEntryU64(text.substr(plus + 1));
-    if (!id || !tick || !downtime)
-      throw std::runtime_error("config: malformed restart '" + entry + "'");
-    if (*id >= config.n)
-      throw std::runtime_error("restart '" + entry + "' names process " +
-                               std::to_string(*id) + ", but n=" +
-                               std::to_string(config.n));
-    config.restarts.push_back(
-        {static_cast<ProcessId>(*id), *tick, *downtime});
-  }
   config.raft.durable =
       kv.getU64("durable", config.raft.durable ? 1 : 0) != 0;
   config.raft.syncBeforeReply =
@@ -149,8 +127,9 @@ RaftScenarioConfig parseRaftConfig(const std::string& text) {
       kv.getDouble("corrupt-prob", config.raft.storage.corruptProbability);
   config.adversary = getAdversary(kv);
   config.maxTicks = kv.getU64("max-ticks", config.maxTicks);
-  if (const auto diagnostic =
-          compose::unknownCrashProcess(config.crashes, config.n))
+  kv.rejectUnreadKeys();
+  if (const auto diagnostic = compose::unknownCrashProcess(
+          config.crashes, config.restarts, config.n))
     throw std::runtime_error(*diagnostic);
   return config;
 }

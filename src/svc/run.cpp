@@ -1,13 +1,12 @@
 #include "svc/run.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <stdexcept>
-#include <string_view>
 #include <unordered_set>
 #include <utility>
 
+#include "compose/composition.hpp"
 #include "compose/kv.hpp"
 #include "compose/registry.hpp"
 #include "core/consensus_process.hpp"
@@ -23,24 +22,6 @@ namespace {
 /// seed must mix the decree in (see EngineFactory's livelock note).
 std::uint64_t decreeSeed(std::uint64_t seed, std::uint64_t decree) noexcept {
   return seed ^ (0x9E3779B97F4A7C15ull * (decree + 1));
-}
-
-std::string restartEntry(const RestartEvent& event) {
-  return std::to_string(event.id) + "@" + std::to_string(event.at) + "+" +
-         std::to_string(event.downtime);
-}
-
-/// Diagnostic naming the first crash or restart entry whose process id is
-/// not below n; nullopt when every entry names a real process.
-std::optional<std::string> unknownFaultProcess(const SvcConfig& config) {
-  if (auto diagnostic = compose::unknownCrashProcess(config.crashes, config.n))
-    return diagnostic;
-  for (const RestartEvent& event : config.restarts) {
-    if (event.id >= config.n)
-      return "restart '" + restartEntry(event) + "' names process " +
-             std::to_string(event.id) + ", but n=" + std::to_string(config.n);
-  }
-  return std::nullopt;
 }
 
 bool prefixEqual(const std::vector<Value>& a, const std::vector<Value>& b) {
@@ -62,6 +43,7 @@ bool uniqueValues(const std::vector<Value>& values, bool skipNoop) {
 }  // namespace
 
 std::optional<std::string> validateEngine(const SvcConfig& config) {
+  if (auto rejected = compose::invalidBias(config.bias)) return rejected;
   if (config.engine == "raft" || config.engine == "paxos") {
     if (config.scheduler != SchedulingPolicy::kLockstep) {
       return "service engine '" + config.engine +
@@ -161,7 +143,8 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
   if (const auto rejected = validateEngine(config))
     throw std::invalid_argument(*rejected);
   if (config.n == 0) throw std::invalid_argument("svc: n must be positive");
-  if (const auto diagnostic = unknownFaultProcess(config))
+  if (const auto diagnostic = compose::unknownCrashProcess(
+          config.crashes, config.restarts, config.n))
     throw std::invalid_argument(*diagnostic);
 
   const std::size_t n = config.n;
@@ -438,7 +421,7 @@ std::string serializeSvcConfig(const SvcConfig& config) {
   for (const auto& crash : config.crashes)
     kv.put("crash", compose::crashEntry(crash));
   for (const RestartEvent& event : config.restarts)
-    kv.put("restart", restartEntry(event));
+    kv.put("restart", compose::restartEntry(event));
   compose::putAdversary(kv, config.adversary);
   kv.put("max-rounds", static_cast<std::uint64_t>(config.maxRoundsPerDecree));
   kv.put("max-ticks", config.maxTicks);
@@ -455,15 +438,12 @@ SvcConfig parseSvcConfig(const std::string& text) {
   const compose::KvReader kv(text);
   SvcConfig config;
   config.engine = kv.get("engine", config.engine);
-  config.detector = kv.get("detector", config.detector);
-  config.driver = kv.get("driver", config.driver);
-  if (kv.has("scheduler")) {
-    const std::string name = kv.get("scheduler", "lockstep");
-    const auto policy = parseSchedulingPolicy(name);
-    if (!policy)
-      throw std::runtime_error("unknown scheduler '" + name +
-                               "'; known: lockstep, event-driven, ooo-driver");
-    config.scheduler = *policy;
+  // Only composed engines carry a pairing on the wire; for raft and paxos
+  // these keys stay unread, so the unknown-key check rejects them.
+  if (config.engine == "compose") {
+    config.detector = kv.get("detector", config.detector);
+    config.driver = kv.get("driver", config.driver);
+    config.scheduler = compose::getScheduler(kv);
   }
   config.n = kv.getU64("n", config.n);
   if (kv.has("t")) config.t = kv.getU64("t", 0);
@@ -510,22 +490,8 @@ SvcConfig parseSvcConfig(const std::string& text) {
   config.maxDelay = kv.getU64("max-delay", config.maxDelay);
   for (const std::string& entry : kv.getAll("crash"))
     config.crashes.push_back(compose::parseCrash(entry));
-  for (const std::string& entry : kv.getAll("restart")) {
-    // pid@tick+downtime; every field a whole unsigned decimal.
-    const std::string_view text(entry);
-    const auto at = text.find('@');
-    const auto plus = text.find('+', at == std::string_view::npos ? 0 : at);
-    std::optional<std::uint64_t> id, tick, downtime;
-    if (at != std::string_view::npos && plus != std::string_view::npos) {
-      id = compose::parseEntryU64(text.substr(0, at));
-      tick = compose::parseEntryU64(text.substr(at + 1, plus - at - 1));
-      downtime = compose::parseEntryU64(text.substr(plus + 1));
-    }
-    if (!id || !tick || !downtime ||
-        *id > std::numeric_limits<ProcessId>::max())
-      throw std::runtime_error("svc: malformed restart '" + entry + "'");
-    config.restarts.push_back({static_cast<ProcessId>(*id), *tick, *downtime});
-  }
+  for (const std::string& entry : kv.getAll("restart"))
+    config.restarts.push_back(compose::parseRestart(entry));
   config.adversary = compose::getAdversary(kv);
   config.maxRoundsPerDecree = static_cast<Round>(
       kv.getU64("max-rounds", config.maxRoundsPerDecree));
@@ -536,8 +502,10 @@ SvcConfig parseSvcConfig(const std::string& text) {
   config.raftElectionMax = kv.getU64("election-max", config.raftElectionMax);
   config.raftHeartbeat = kv.getU64("heartbeat", config.raftHeartbeat);
   config.resubmitEvery = kv.getU64("resubmit-every", config.resubmitEvery);
+  kv.rejectUnreadKeys();
   // A fault entry naming no process is malformed input, like a bad field.
-  if (const auto diagnostic = unknownFaultProcess(config))
+  if (const auto diagnostic = compose::unknownCrashProcess(
+          config.crashes, config.restarts, config.n))
     throw std::runtime_error(*diagnostic);
   if (const auto rejected = validateEngine(config))
     throw std::invalid_argument(*rejected);

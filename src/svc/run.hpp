@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "compose/hooks.hpp"
+#include "compose/kv.hpp"
 #include "core/scheduling.hpp"
 #include "raft/types.hpp"
 #include "svc/service.hpp"
@@ -39,13 +40,9 @@
 
 namespace ooc::svc {
 
-/// Crash-restart timeline entry (same wire form as the Raft family:
-/// "pid@tick+downtime").
-struct RestartEvent {
-  ProcessId id = 0;
-  Tick at = 0;
-  Tick downtime = 50;
-};
+/// Crash-restart timeline entry, shared with the Raft family
+/// (compose/kv.hpp).
+using RestartEvent = compose::RestartEvent;
 
 struct SvcConfig {
   /// Which consensus powers the decrees: "compose" (registry pairing,
@@ -131,9 +128,10 @@ struct SvcResult {
   std::vector<std::pair<Tick, ProcessId>> leaderEvents;
 };
 
-/// Capability gate for the configured engine; nullopt when admissible,
-/// otherwise the human-readable diagnostic. Unknown registry names throw
-/// (listing the known names), mirroring the composition resolver.
+/// Capability gate for the configured engine, plus the [0,1] bound on
+/// `bias` for every engine; nullopt when admissible, otherwise the
+/// human-readable diagnostic. Unknown registry names throw (listing the
+/// known names), mirroring the composition resolver.
 std::optional<std::string> validateEngine(const SvcConfig& config);
 
 /// The per-decree engine factory runSvc hosts in every SvcNode for

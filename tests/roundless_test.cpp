@@ -187,7 +187,6 @@ TEST(SchedulingGate, RejectedPolicyThrowsFromTheRunner) {
 TEST(SchedulerWire, NothingSerializedWhenLockstep) {
   auto c = skewBase("lottery", SchedulingPolicy::kLockstep);
   EXPECT_EQ(compose::serialize(c).find("scheduler"), std::string::npos);
-  EXPECT_EQ(compose::toJson(c).find("scheduler"), std::string::npos);
 }
 
 TEST(SchedulerWire, CompositionKvRoundTripsEveryPolicy) {
@@ -200,18 +199,6 @@ TEST(SchedulerWire, CompositionKvRoundTripsEveryPolicy) {
     EXPECT_EQ(parsed.scheduler, policy) << toString(policy);
     // A full round-trip re-serializes byte-identically (run-id stability).
     EXPECT_EQ(compose::serialize(parsed), text) << toString(policy);
-  }
-}
-
-TEST(SchedulerWire, CompositionJsonRoundTripsEveryPolicy) {
-  for (const SchedulingPolicy policy :
-       {SchedulingPolicy::kLockstep, SchedulingPolicy::kEventDriven,
-        SchedulingPolicy::kOooDriver}) {
-    const auto c = skewBase("lottery", policy);
-    const std::string json = compose::toJson(c);
-    const auto parsed = compose::fromJson(json);
-    EXPECT_EQ(parsed.scheduler, policy) << toString(policy);
-    EXPECT_EQ(compose::toJson(parsed), json) << toString(policy);
   }
 }
 

@@ -4,7 +4,8 @@
 //  * golden-trace determinism — the pinned scenarios must serialize
 //    byte-identically to the artifacts in tests/golden/ (recorded before
 //    the overhaul), proving the calendar queue and shared payloads did not
-//    move a single event;
+//    move a single event; the artifacts also parse back and re-serialize
+//    byte-identically, and a mistyped key in one fails the load;
 //  * payload aliasing — a fan-out constructs exactly one message instance
 //    and every recipient sees the same object; duplication faults add
 //    refs, not copies;
@@ -22,11 +23,13 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "check/golden.hpp"
+#include "check/replay.hpp"
 #include "compose/registry.hpp"
 #include "compose/run.hpp"
 #include "sim/event_queue.hpp"
@@ -64,6 +67,40 @@ TEST(GoldenTrace, RecordedRunsAreByteIdentical) {
     // EQ on the whole string (not a line diff): the guarantee is bytes.
     EXPECT_EQ(actual, expected)
         << "schedule or serialization drift in fixture " << fixture.name;
+  }
+}
+
+// The parse direction: every artifact loads through the counterexample
+// reader and re-serializes to the same bytes, so no field is lost or
+// re-spelled on the way in.
+TEST(GoldenTrace, ArtifactsRoundTripThroughTheParser) {
+  const auto fixtures = check::goldenFixtures();
+  ASSERT_GE(fixtures.size(), 7u);
+  for (const auto& fixture : fixtures) {
+    const std::string text =
+        readFile(std::string(OOC_GOLDEN_DIR "/") + fixture.name + ".golden");
+    EXPECT_EQ(check::serializeCounterexample(check::parseCounterexample(text)),
+              text)
+        << "parse round-trip drift in fixture " << fixture.name;
+  }
+}
+
+// A mistyped key must not load with the field left at its default: the
+// recorded schedule would still replay bit-identically and hide the typo.
+TEST(GoldenTrace, MistypedKeyFailsTheLoad) {
+  std::string text =
+      readFile(std::string(OOC_GOLDEN_DIR "/") + "compose-timer-n5.golden");
+  const std::string line = "max-delay=10\n";
+  const auto at = text.find(line);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, line.size(), "max-delya=3\n");
+  try {
+    (void)check::parseCounterexample(text);
+    ADD_FAILURE() << "mistyped golden loaded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("unknown key 'max-delya'"),
+              std::string::npos)
+        << error.what();
   }
 }
 

@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -434,6 +436,24 @@ TEST(Svc, EngineGateRejectsByCapability) {
       EXPECT_NE(std::string(error.what()).find("restart '5@5+50'"),
                 std::string::npos)
           << error.what();
+    }
+  }
+}
+
+// The engine gate bounds the biased-coin probability like the composition
+// resolver does, for every engine, so runSvc and the parser inherit it.
+TEST(Svc, BiasOutsideTheUnitIntervalIsRejected) {
+  for (const double bias :
+       {std::numeric_limits<double>::quiet_NaN(), 7.0, -2.0}) {
+    for (const std::string engine : {"compose", "raft"}) {
+      SvcConfig config = smokeConfig(engine);
+      config.bias = bias;
+      const auto rejected = validateEngine(config);
+      ASSERT_TRUE(rejected.has_value()) << engine << " bias " << bias;
+      EXPECT_EQ(rejected->rfind("bias ", 0), 0u) << *rejected;
+      EXPECT_THROW((void)runSvc(config), std::invalid_argument);
+      EXPECT_THROW((void)parseSvcConfig(serializeSvcConfig(config)),
+                   std::invalid_argument);
     }
   }
 }
