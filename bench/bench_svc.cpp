@@ -19,8 +19,12 @@
 //
 // Unlike the single-shot benches this one writes its own JSON schema
 // ("ooc.svc.v1", documented in EXPERIMENTS.md): the unit of result is an
-// engine's service profile, not a consensus cell.
+// engine's service profile, not a consensus cell. Besides the tick figures
+// it reports each engine's wall-clock cost per committed command (the
+// throughput pass's summed per-trial runSvc time over its committed
+// commands), kept in the JSON's non-reproducible `wallclock` block.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -55,6 +59,7 @@ struct EngineProfile {
   std::uint64_t noopDecrees = 0;
   std::uint64_t decrees = 0;
   std::uint64_t messages = 0;
+  double runMicros = 0.0;  // summed runSvc wall-clock, fault-free pass
   ooc::Summary cmdsPerKtick;
   std::vector<Tick> latencies;  // pooled across trials and nodes
   ooc::Summary batchSize;
@@ -65,6 +70,12 @@ struct EngineProfile {
     return committedCmds == 0 ? 0.0
                               : static_cast<double>(messages) /
                                     static_cast<double>(committedCmds);
+  }
+  /// Wall-clock microseconds per committed command (fault-free pass).
+  double usPerCmd() const {
+    return committedCmds == 0
+               ? 0.0
+               : runMicros / static_cast<double>(committedCmds);
   }
 };
 
@@ -134,19 +145,31 @@ int main(int argc, char** argv) {
   // results sequentially in trial order — so every number below (and the
   // ooc.svc.v1 JSON, quarantined `sweep` block aside) is byte-identical at
   // any --threads value.
+  // Each trial's runSvc call is timed on its own worker, so the summed
+  // time does not depend on how the trials were spread over --threads
+  // (beyond contention between the workers).
   ooc::sweep::SweepAccumulator sweepTelemetry;
-  const auto runTrials = [&](int trials, const auto& makeConfig) {
+  const auto runTrials = [&](int trials, const auto& makeConfig,
+                             double* runMicros) {
     std::vector<ooc::svc::SvcResult> results(
         static_cast<std::size_t>(trials));
+    std::vector<double> micros(results.size(), 0.0);
     ooc::sweep::Options pool;
     pool.threads = threads;
     sweepTelemetry.add(ooc::sweep::parallelFor(
         results.size(),
         [&](std::size_t index, ooc::sweep::Control&) {
-          results[index] =
-              ooc::svc::runSvc(makeConfig(static_cast<int>(index)));
+          const ooc::svc::SvcConfig config =
+              makeConfig(static_cast<int>(index));
+          const auto start = std::chrono::steady_clock::now();
+          results[index] = ooc::svc::runSvc(config);
+          micros[index] = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
         },
         pool));
+    if (runMicros != nullptr)
+      for (const double us : micros) *runMicros += us;
     return results;
   };
 
@@ -186,11 +209,14 @@ int main(int argc, char** argv) {
     ooc::ProcessId raftLeader = 0;
     Tick leaderAt = 0;
     const std::vector<ooc::svc::SvcResult> throughputResults =
-        runTrials(throughputTrials, [&](int trial) {
-          ooc::svc::SvcConfig config = baseConfig(spec, quick);
-          config.seed = 350000 + static_cast<std::uint64_t>(trial);
-          return config;
-        });
+        runTrials(
+            throughputTrials,
+            [&](int trial) {
+              ooc::svc::SvcConfig config = baseConfig(spec, quick);
+              config.seed = 350000 + static_cast<std::uint64_t>(trial);
+              return config;
+            },
+            &profile.runMicros);
     for (int trial = 0; trial < throughputTrials; ++trial) {
       const ooc::svc::SvcResult& result =
           throughputResults[static_cast<std::size_t>(trial)];
@@ -219,16 +245,19 @@ int main(int argc, char** argv) {
     // Raft loses its elected leader; the leaderless engines lose node 0
     // (every node coordinates its own batches, so any victim works).
     const std::vector<ooc::svc::SvcResult> blackoutResults =
-        runTrials(blackoutTrials, [&](int trial) {
-          ooc::svc::SvcConfig config = baseConfig(spec, quick);
-          config.seed = 360000 + static_cast<std::uint64_t>(trial);
-          ooc::svc::RestartEvent restart;
-          restart.id = spec.engine == "raft" ? raftLeader : 0;
-          restart.at = spec.engine == "raft" ? leaderAt + 120 : 120;
-          restart.downtime = 150;
-          config.restarts.push_back(restart);
-          return config;
-        });
+        runTrials(
+            blackoutTrials,
+            [&](int trial) {
+              ooc::svc::SvcConfig config = baseConfig(spec, quick);
+              config.seed = 360000 + static_cast<std::uint64_t>(trial);
+              ooc::svc::RestartEvent restart;
+              restart.id = spec.engine == "raft" ? raftLeader : 0;
+              restart.at = spec.engine == "raft" ? leaderAt + 120 : 120;
+              restart.downtime = 150;
+              config.restarts.push_back(restart);
+              return config;
+            },
+            nullptr);
     for (int trial = 0; trial < blackoutTrials; ++trial) {
       const ooc::svc::SvcResult& result =
           blackoutResults[static_cast<std::size_t>(trial)];
@@ -271,6 +300,10 @@ int main(int argc, char** argv) {
       "blackout = largest commit gap at a never-faulted node while the\n"
       "coordinator is down; the closed loop stalls with it, so it bounds\n"
       "client-visible unavailability.\n\n");
+  std::printf("wall-clock per committed command (host-dependent):");
+  for (std::size_t e = 0; e < specs.size(); ++e)
+    std::printf(" %s %.2f us", specs[e].label.c_str(), profiles[e].usPerCmd());
+  std::printf("\n\n");
 
   if (failures > 0)
     std::printf("\n%d correctness violations — INVESTIGATE\n", failures);
@@ -338,9 +371,15 @@ int main(int argc, char** argv) {
     w.endArray();
 
     w.key("metrics").raw(ooc::obs::metrics().toJson());
-    // Scheduler telemetry (wall-clock + thread-dependent shape): the one
-    // non-reproducible block of ooc.svc.v1 — byte-diff consumers strip
-    // `sweep` first.
+    // The non-reproducible blocks of ooc.svc.v1 — byte-diff consumers
+    // strip `wallclock` and `sweep` first: per-engine wall-clock cost, then
+    // the scheduler telemetry (wall-clock + thread-dependent shape).
+    w.key("wallclock").beginObject();
+    w.key("us_per_commit").beginObject();
+    for (std::size_t e = 0; e < specs.size(); ++e)
+      w.key(specs[e].label).value(profiles[e].usPerCmd());
+    w.endObject();
+    w.endObject();
     if (!sweepTelemetry.empty())
       w.key("sweep").raw(ooc::sweep::toJson(sweepTelemetry));
     w.endObject();

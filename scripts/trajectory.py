@@ -19,6 +19,8 @@ MODE picks the metric(s) and each one's polarity:
   recovery  mean ticks_to_decide per label set    (lower is better)
   svc       committed cmds/ktick per engine (E21) (higher is better)
             plus msgs_per_cmd per engine          (lower is better)
+            plus wall-clock us_per_commit per engine, read from the
+            run's non-reproducible `wallclock` block (lower is better)
   roundless mean rounds per valid E24 cell        (lower is better)
 """
 import json
@@ -62,6 +64,10 @@ def extract(run, mode):
                  True, True),
                 ("msgs_per_cmd",
                  gauge_series(metrics, "svc_msgs_per_command", "engine"),
+                 True, False),
+                ("us_per_commit",
+                 {engine: round(us, 2) for engine, us in
+                  run.get("wallclock", {}).get("us_per_commit", {}).items()},
                  True, False)]
     if mode == "roundless":
         # ooc.roundless.v1 is a matrix document, not an ooc.bench.v1 run:

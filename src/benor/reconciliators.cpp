@@ -52,23 +52,21 @@ std::uint64_t LotteryReconciliator::ticketOf(ProcessId who) const noexcept {
 
 void LotteryReconciliator::invoke(ObjectContext& ctx,
                                   const Outcome& detected) {
-  seen_.assign(ctx.processCount(), false);
+  seen_.reset(ctx.processCount());
   ctx.fanout(makeMessage<LotteryTicketMessage>(detected.value));
 }
 
 void LotteryReconciliator::onMessage(ObjectContext& ctx, ProcessId from,
                                      const Message& inner) {
   const auto* ticket = inner.as<LotteryTicketMessage>();
-  if (ticket == nullptr || value_ || seen_.empty()) return;
-  if (from >= seen_.size() || seen_[from]) return;
-  seen_[from] = true;
-  ++count_;
+  if (ticket == nullptr || value_) return;
+  if (!seen_.insert(from)) return;  // before invoke(), or a repeat sender
   const std::uint64_t draw = ticketOf(from);
   if (draw < bestTicket_) {
     bestTicket_ = draw;
     bestValue_ = ticket->value;
   }
-  if (count_ >= ctx.processCount() - t_) value_ = bestValue_;
+  if (seen_.count() >= ctx.processCount() - t_) value_ = bestValue_;
 }
 
 DriverFactory LotteryReconciliator::factory(std::size_t faultTolerance,

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/objects.hpp"
+#include "core/tally.hpp"
 
 namespace ooc::benor {
 
@@ -105,8 +106,7 @@ class LotteryReconciliator final : public Driver {
   std::size_t t_;
   std::uint64_t sharedSeed_;
   Round round_;
-  std::vector<bool> seen_;
-  std::size_t count_ = 0;
+  SenderSet seen_;  // empty universe until invoke()
   std::uint64_t bestTicket_ = ~0ull;
   Value bestValue_ = kNoValue;
   std::optional<Value> value_;

@@ -75,6 +75,18 @@ std::optional<T> parseWhole(std::string_view field) {
   return value;
 }
 
+/// parseWhole for integers, restricted to the spelling the writer emits:
+/// no leading zero and no "-0". from_chars accepts both, and a spelling the
+/// writer would not reproduce changes the re-serialized run-id.
+template <typename T>
+std::optional<T> parseCanonical(std::string_view field) {
+  const std::string_view digits =
+      field.starts_with('-') ? field.substr(1) : field;
+  if (digits.starts_with('0') && (digits.size() > 1 || digits != field))
+    return std::nullopt;
+  return parseWhole<T>(field);
+}
+
 [[noreturn]] void malformed(const std::string& key, const std::string& value) {
   throw std::runtime_error("config: malformed " + key + " '" + value + "'");
 }
@@ -104,7 +116,7 @@ std::vector<Value> KvReader::getValues(const std::string& key) const {
   std::string_view rest(joined);
   while (!rest.empty()) {
     const auto comma = rest.find(',');
-    const auto value = parseWhole<Value>(rest.substr(0, comma));
+    const auto value = parseCanonical<Value>(rest.substr(0, comma));
     if (!value) malformed(key, joined);
     values.push_back(*value);
     rest = comma == std::string_view::npos ? std::string_view()
@@ -119,7 +131,7 @@ std::string crashEntry(const std::pair<ProcessId, Tick>& crash) {
 }
 
 std::optional<std::uint64_t> parseEntryU64(std::string_view field) {
-  return parseWhole<std::uint64_t>(field);
+  return parseCanonical<std::uint64_t>(field);
 }
 
 std::pair<ProcessId, Tick> parseCrash(const std::string& entry) {

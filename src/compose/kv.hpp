@@ -81,9 +81,11 @@ class KvReader {
   }
   /// The numeric getters read the whole field: an unsigned decimal for
   /// getU64 (no sign), a decimal or exponent form for getDouble, and
-  /// comma-separated signed integers for getValues. Anything else — a
-  /// sign where none belongs, trailing characters, overflow, an empty
-  /// list item — throws std::runtime_error naming the key and the value.
+  /// comma-separated signed integers for getValues. Integers must be
+  /// spelled as the writer spells them: no leading zero, no "-0".
+  /// Anything else — a sign where none belongs, trailing characters,
+  /// overflow, an empty list item — throws std::runtime_error naming the
+  /// key and the value.
   std::uint64_t getU64(const std::string& key, std::uint64_t fallback) const;
   double getDouble(const std::string& key, double fallback) const;
   const std::vector<std::string>& getAll(const std::string& key) const;
@@ -103,8 +105,8 @@ class KvReader {
 };
 
 /// A whole field of a structured entry as an unsigned decimal; nullopt
-/// when it is empty, has a sign, a non-digit or trailing characters, or
-/// overflows 64 bits.
+/// when it is empty, has a sign, a leading zero, a non-digit or trailing
+/// characters, or overflows 64 bits.
 std::optional<std::uint64_t> parseEntryU64(std::string_view field);
 
 /// `pid@tick` crash-schedule entries. parseCrash throws std::runtime_error

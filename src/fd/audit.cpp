@@ -1,7 +1,6 @@
 #include "fd/audit.hpp"
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 namespace ooc::fd {
@@ -12,9 +11,9 @@ namespace {
 /// an even grid so long quiet stretches are not skipped entirely.
 std::vector<Tick> sampleTicks(const FaultSchedule& schedule, Tick bound,
                               Tick horizon) {
-  std::set<Tick> ticks{0, horizon};
+  std::vector<Tick> ticks{0, horizon};
   const auto add = [&](Tick at) {
-    if (at <= horizon) ticks.insert(at);
+    if (at <= horizon) ticks.push_back(at);
   };
   const Tick last = schedule.lastTransition();
   add(last);
@@ -28,7 +27,9 @@ std::vector<Tick> sampleTicks(const FaultSchedule& schedule, Tick bound,
   constexpr Tick kGridPoints = 32;
   for (Tick i = 1; i < kGridPoints; ++i)
     add(horizon / kGridPoints * i);
-  return {ticks.begin(), ticks.end()};
+  std::sort(ticks.begin(), ticks.end());
+  ticks.erase(std::unique(ticks.begin(), ticks.end()), ticks.end());
+  return ticks;
 }
 
 std::string where(ProcessId viewer, ProcessId target, Tick at) {
@@ -45,13 +46,25 @@ OracleAudit auditOracle(const Oracle& oracle, const FaultSchedule& schedule,
   const std::size_t n = schedule.processCount();
   const Tick bound = oracle.stabilizationBound();
   const std::vector<Tick> ticks = sampleTicks(schedule, bound, horizon);
+  // FaultSchedule::correct and firstDownAt scan a process's down
+  // intervals; the loops below need them per viewer x target x tick, so
+  // each is asked once per process here.
+  std::vector<char> correct(n);
+  std::vector<Tick> firstDown(n);
+  for (ProcessId id = 0; id < n; ++id) {
+    correct[id] = schedule.correct(id);
+    firstDown[id] = schedule.firstDownAt(id).value_or(~Tick{0});
+  }
+  const auto isCorrect = [&](ProcessId id) {
+    return id < n && correct[id] != 0;
+  };
 
   // Strong completeness, checked at the horizon (every lag window has
   // elapsed by then — runComposition sizes the horizon accordingly).
   for (ProcessId viewer = 0; viewer < n && audit.completenessOk; ++viewer) {
-    if (!schedule.correct(viewer)) continue;
+    if (!isCorrect(viewer)) continue;
     for (ProcessId target = 0; target < n; ++target) {
-      if (schedule.correct(target)) continue;
+      if (isCorrect(target)) continue;
       if (!oracle.suspects(viewer, target, horizon)) {
         audit.completenessOk = false;
         audit.completenessDetail =
@@ -70,11 +83,11 @@ OracleAudit auditOracle(const Oracle& oracle, const FaultSchedule& schedule,
     if (!audit.accuracyOk) break;
     if (!perfect && at < bound) continue;
     for (ProcessId viewer = 0; viewer < n && audit.accuracyOk; ++viewer) {
-      if (!schedule.correct(viewer)) continue;
+      if (!isCorrect(viewer)) continue;
       for (ProcessId target = 0; target < n; ++target) {
         const bool protectedTarget =
-            perfect ? schedule.firstDownAt(target).value_or(~Tick{0}) > at
-                    : (schedule.correct(target) && at >= bound);
+            perfect ? firstDown[target] > at
+                    : (isCorrect(target) && at >= bound);
         if (!protectedTarget) continue;
         if (oracle.suspects(viewer, target, at)) {
           audit.accuracyOk = false;
@@ -107,9 +120,9 @@ OracleAudit auditOracle(const Oracle& oracle, const FaultSchedule& schedule,
     ProcessId agreed = 0;
     bool first = true;
     for (ProcessId viewer = 0; viewer < n; ++viewer) {
-      if (!schedule.correct(viewer)) continue;
+      if (!isCorrect(viewer)) continue;
       const ProcessId led = oracle.leader(viewer, at);
-      if (!schedule.correct(led)) {
+      if (!isCorrect(led)) {
         audit.convergenceOk = false;
         audit.convergenceDetail = "viewer " + std::to_string(viewer) +
                                   " trusts crashed leader " +

@@ -28,7 +28,7 @@ PaxosNode::PaxosNode(Value input, PaxosConfig config)
     wal_ = std::make_unique<store::WriteAheadLog>(config_.storage);
 }
 
-void PaxosNode::persist(std::vector<std::uint64_t> record) {
+void PaxosNode::persist(std::span<const std::uint64_t> record) {
   if (!wal_) return;
   wal_->append(record);
   if (config_.syncBeforeReply) wal_->sync();
@@ -48,8 +48,7 @@ void PaxosNode::onRestart() {
   attempt_ = 0;
   proposing_ = false;
   acceptRequested_ = false;
-  promiseFrom_.assign(ctx().processCount(), false);
-  promiseCount_ = 0;
+  promiseFrom_.reset(ctx().processCount());
   highestAcceptedSeen_ = 0;
   valueToPropose_ = kNoValue;
   acceptedTallies_.clear();
@@ -102,7 +101,7 @@ void PaxosNode::record(Confidence confidence, Value value) {
 }
 
 void PaxosNode::onStart() {
-  promiseFrom_.assign(ctx().processCount(), false);
+  promiseFrom_.reset(ctx().processCount());
   record(Confidence::kVacillate, input_);
   if (config_.propose) armRetryTimer();
 }
@@ -137,8 +136,7 @@ void PaxosNode::startBallot() {
       attempt_ * ctx().processCount() + ctx().self() + 1;
   proposing_ = true;
   acceptRequested_ = false;
-  promiseFrom_.assign(ctx().processCount(), false);
-  promiseCount_ = 0;
+  promiseFrom_.reset(ctx().processCount());
   highestAcceptedSeen_ = 0;
   valueToPropose_ = input_;
   OOC_TRACE("paxos p", ctx().self(), " ballot ", currentBallot_);
@@ -166,7 +164,8 @@ void PaxosNode::handlePrepare(ProcessId from, const Prepare& msg) {
     promised_ = msg.ballot;
     // The promise must hit stable storage before the reply leaves — a
     // forgotten promise lets a lower ballot slip through after a restart.
-    persist({kRecPromise, promised_});
+    const std::uint64_t rec[] = {kRecPromise, promised_};
+    persist(rec);
     ctx().post(from, makeMessage<Promise>(msg.ballot, acceptedBallot_,
                                           acceptedValue_));
   } else {
@@ -177,16 +176,14 @@ void PaxosNode::handlePrepare(ProcessId from, const Prepare& msg) {
 void PaxosNode::handlePromise(ProcessId from, const Promise& msg) {
   if (!proposing_ || acceptRequested_ || msg.ballot != currentBallot_)
     return;
-  if (from >= promiseFrom_.size() || promiseFrom_[from]) return;
-  promiseFrom_[from] = true;
-  ++promiseCount_;
+  if (!promiseFrom_.insert(from)) return;
   // Honour the highest already-accepted proposal among the promises —
   // the rule that makes chosen values stable.
   if (msg.acceptedBallot > highestAcceptedSeen_) {
     highestAcceptedSeen_ = msg.acceptedBallot;
     valueToPropose_ = msg.acceptedValue;
   }
-  if (2 * promiseCount_ > ctx().processCount()) {
+  if (2 * promiseFrom_.count() > ctx().processCount()) {
     acceptRequested_ = true;
     ctx().fanout(makeMessage<Accept>(currentBallot_, valueToPropose_));
   }
@@ -200,7 +197,9 @@ void PaxosNode::handleAccept(ProcessId, const Accept& msg) {
   promised_ = msg.ballot;
   acceptedBallot_ = msg.ballot;
   acceptedValue_ = msg.value;
-  persist({kRecAccept, acceptedBallot_, encodeValue(acceptedValue_)});
+  const std::uint64_t rec[] = {kRecAccept, acceptedBallot_,
+                               encodeValue(acceptedValue_)};
+  persist(rec);
   // Adopt-level knowledge: a majority-backed proposer pushed this value.
   record(Confidence::kAdopt, msg.value);
   ctx().fanout(makeMessage<Accepted>(msg.ballot, msg.value));
@@ -209,14 +208,12 @@ void PaxosNode::handleAccept(ProcessId, const Accept& msg) {
 void PaxosNode::handleAccepted(ProcessId from, const Accepted& msg) {
   if (decided_) return;
   BallotTally& tally = acceptedTallies_[msg.ballot];
-  if (tally.seen.empty()) {
-    tally.seen.assign(ctx().processCount(), false);
+  if (tally.seen.universe() == 0) {
+    tally.seen.reset(ctx().processCount());
     tally.value = msg.value;
   }
-  if (from >= tally.seen.size() || tally.seen[from]) return;
-  tally.seen[from] = true;
-  ++tally.count;
-  if (2 * tally.count > ctx().processCount()) learn(tally.value);
+  if (!tally.seen.insert(from)) return;
+  if (2 * tally.seen.count() > ctx().processCount()) learn(tally.value);
 }
 
 void PaxosNode::handleNack(ProcessId, const Nack& msg) {
@@ -233,7 +230,8 @@ void PaxosNode::learn(Value value) {
   decided_ = true;
   decision_ = value;
   decisionHistory_.push_back(value);
-  persist({kRecDecide, encodeValue(value)});
+  const std::uint64_t rec[] = {kRecDecide, encodeValue(value)};
+  persist(rec);
   record(Confidence::kCommit, value);
   ctx().decide(value);
   if (retryTimer_ != 0) ctx().cancelTimer(retryTimer_);

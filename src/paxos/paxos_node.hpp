@@ -20,10 +20,12 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "core/confidence.hpp"
+#include "core/tally.hpp"
 #include "paxos/messages.hpp"
 #include "sim/process.hpp"
 #include "store/wal.hpp"
@@ -102,7 +104,7 @@ class PaxosNode final : public Process {
   void armRetryTimer();
   void startBallot();
   void learn(Value value);
-  void persist(std::vector<std::uint64_t> record);
+  void persist(std::span<const std::uint64_t> record);
 
   void handlePrepare(ProcessId from, const Prepare& msg);
   void handlePromise(ProcessId from, const Promise& msg);
@@ -123,15 +125,13 @@ class PaxosNode final : public Process {
   std::uint64_t attempt_ = 0;
   bool proposing_ = false;       // between Prepare and majority promises
   bool acceptRequested_ = false; // Accept round in flight
-  std::vector<bool> promiseFrom_;
-  std::size_t promiseCount_ = 0;
+  SenderSet promiseFrom_;
   Ballot highestAcceptedSeen_ = 0;
   Value valueToPropose_ = kNoValue;
 
   // Learner state: per-ballot distinct-sender Accepted tallies.
   struct BallotTally {
-    std::vector<bool> seen;
-    std::size_t count = 0;
+    SenderSet seen;  // empty universe until the ballot's first Accepted
     Value value = kNoValue;
   };
   std::unordered_map<Ballot, BallotTally> acceptedTallies_;

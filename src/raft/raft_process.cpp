@@ -126,23 +126,28 @@ void RaftProcess::onRestart() {
 
 // --- journalling ------------------------------------------------------------
 
-void RaftProcess::persist(std::vector<std::uint64_t> record) {
+void RaftProcess::persist(std::span<const std::uint64_t> record) {
   if (!wal_) return;
   wal_->append(record);
   if (config_.syncBeforeReply) wal_->sync();
 }
 
 void RaftProcess::persistMeta() {
-  persist({kRecMeta, currentTerm_,
-           votedFor_ ? static_cast<std::uint64_t>(*votedFor_) + 1 : 0});
+  const std::uint64_t record[] = {
+      kRecMeta, currentTerm_,
+      votedFor_ ? static_cast<std::uint64_t>(*votedFor_) + 1 : 0};
+  persist(record);
 }
 
 void RaftProcess::persistEntry(const LogEntry& entry) {
-  persist({kRecEntry, entry.term, encodeValue(entry.command)});
+  const std::uint64_t record[] = {kRecEntry, entry.term,
+                                  encodeValue(entry.command)};
+  persist(record);
 }
 
 void RaftProcess::persistTruncate() {
-  persist({kRecTruncate, lastLogIndex()});
+  const std::uint64_t record[] = {kRecTruncate, lastLogIndex()};
+  persist(record);
 }
 
 void RaftProcess::persistSnapshot() {
@@ -156,7 +161,7 @@ void RaftProcess::persistSnapshot() {
   const std::vector<Value> state = captureSnapshot();
   rec.push_back(state.size());
   for (Value v : state) rec.push_back(encodeValue(v));
-  persist(std::move(rec));
+  persist(rec);
 }
 
 void RaftProcess::recordVote(ProcessId candidate) {
@@ -300,9 +305,10 @@ void RaftProcess::sendAppendTo(ProcessId peer) {
   }
   const LogIndex prevIndex = next - 1;
   const Term prevTerm = prevIndex == 0 ? 0 : termAt(prevIndex);
-  std::vector<LogEntry> entries;
   const LogIndex last = std::min<LogIndex>(
       lastLogIndex(), prevIndex + config_.maxEntriesPerAppend);
+  std::vector<LogEntry> entries;
+  if (last >= next) entries.reserve(static_cast<std::size_t>(last - next + 1));
   for (LogIndex i = next; i <= last; ++i) entries.push_back(entryAt(i));
   sentIndex_[peer] = std::max(sentIndex_[peer], last);
   ctx().post(peer, makeMessage<AppendEntries>(

@@ -185,7 +185,7 @@ class RaftProcess : public Process {
   // Journalling. Every mutation of persistent state appends a record; with
   // syncBeforeReply the append is synced immediately, so the state is
   // durable before any message referencing it can be sent.
-  void persist(std::vector<std::uint64_t> record);
+  void persist(std::span<const std::uint64_t> record);
   void persistMeta();
   void persistEntry(const LogEntry& entry);
   void persistTruncate();

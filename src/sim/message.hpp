@@ -12,7 +12,9 @@
 // payload across every delivery instead of deep-copying per recipient.
 // Anything that needs a mutated payload copy-constructs the concrete type,
 // mutates the copy and shares it; the copy starts unshared, because
-// copy-constructing a Message never copies its count.
+// copy-constructing a Message never copies its count. A receiver that wants
+// to keep the payload it is handling (onMessage sees only a reference)
+// takes a new handle to it with MessageHandle<const T>::share.
 //
 // Thread confinement (invariant): the count is a plain integer, not an
 // atomic. A Simulator and every payload it carries belong to one thread for
@@ -23,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -156,6 +159,20 @@ class MessageHandle {
 
   /// Handles sharing the payload (0 for an empty handle).
   std::uint32_t useCount() const noexcept { return ptr_ ? ptr_->refs_ : 0; }
+
+  /// A new handle to a payload that handles already own — how a receiver
+  /// retains the message it is handling. Throws std::logic_error for a
+  /// payload no handle owns (one built on the stack, say): adopting it
+  /// would delete memory the handle never allocated.
+  static MessageHandle share(T& payload) {
+    if (payload.refs_ == 0)
+      throw std::logic_error("MessageHandle::share: payload is not "
+                             "handle-owned (build it with makeMessage)");
+    MessageHandle handle;
+    handle.ptr_ = &payload;
+    handle.retain();
+    return handle;
+  }
 
  private:
   template <typename U>

@@ -5,23 +5,36 @@
 namespace ooc::store {
 namespace {
 
-std::array<std::uint32_t, 256> makeCrcTable() noexcept {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 CRC tables: kCrcTables[0] is the classic bytewise table, and
+/// kCrcTables[k][i] is the CRC of byte i followed by k zero bytes, so eight
+/// table lookups fold eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables makeCrcTables() noexcept {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
 }
 
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+constexpr CrcTables kCrcTables = makeCrcTables();
+
+void putU32(std::uint8_t* out, std::uint32_t v) noexcept {
+  out[0] = static_cast<std::uint8_t>(v);
+  out[1] = static_cast<std::uint8_t>(v >> 8);
+  out[2] = static_cast<std::uint8_t>(v >> 16);
+  out[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 std::uint32_t getU32(const std::uint8_t* p) noexcept {
@@ -41,26 +54,35 @@ constexpr std::size_t kHeaderBytes = 8;  // length:u32 + crc:u32
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept {
-  static const std::array<std::uint32_t, 256> table = makeCrcTable();
+  const CrcTables& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ data[i]) & 0xFF] ^ (c >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = c ^ getU32(data);
+    const std::uint32_t hi = getU32(data + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    c = t[0][(c ^ *data) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
 
 WriteAheadLog::WriteAheadLog(FaultConfig faults) noexcept : faults_(faults) {}
 
-void WriteAheadLog::append(const std::vector<std::uint64_t>& words) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(words.size() * 8);
-  for (std::uint64_t w : words) {
-    putU32(payload, static_cast<std::uint32_t>(w));
-    putU32(payload, static_cast<std::uint32_t>(w >> 32));
+void WriteAheadLog::append(std::span<const std::uint64_t> words) {
+  const std::size_t length = words.size() * 8;
+  const std::size_t at = pending_.size();
+  pending_.resize(at + kHeaderBytes + length);
+  std::uint8_t* const header = pending_.data() + at;
+  std::uint8_t* const payload = header + kHeaderBytes;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    putU32(payload + i * 8, static_cast<std::uint32_t>(words[i]));
+    putU32(payload + i * 8 + 4, static_cast<std::uint32_t>(words[i] >> 32));
   }
-  putU32(pending_, static_cast<std::uint32_t>(payload.size()));
-  putU32(pending_, crc32(payload.data(), payload.size()));
-  pending_.insert(pending_.end(), payload.begin(), payload.end());
+  putU32(header, static_cast<std::uint32_t>(length));
+  putU32(header + 4, crc32(payload, length));
   ++appends_;
 }
 

@@ -15,10 +15,13 @@
 // returns every intact record in append order, truncating at the first
 // torn or corrupt record exactly like a real log-structured store.
 //
-// Records are vectors of u64 words (enough for protocol metadata: term,
+// Records are spans of u64 words (enough for protocol metadata: term,
 // vote, log entries, ballots, values); on the device each record is
 //
 //   [ length:u32 | crc32:u32 | payload bytes ]   (little-endian)
+//
+// append() encodes a record in place at the pending tail, so a journal
+// write allocates only when the tail outgrows its capacity.
 //
 // Everything is deterministic: crash() draws from a caller-supplied Rng, so
 // a simulation run containing storage faults is still a pure function of
@@ -27,6 +30,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -51,7 +56,8 @@ struct FaultConfig {
   double corruptProbability = 0.0;
 };
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte span.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte span,
+/// computed eight bytes at a time (slice-by-8).
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept;
 
 class WriteAheadLog {
@@ -59,7 +65,10 @@ class WriteAheadLog {
   explicit WriteAheadLog(FaultConfig faults = {}) noexcept;
 
   /// Buffers one record at the pending tail. NOT durable until sync().
-  void append(const std::vector<std::uint64_t>& words);
+  void append(std::span<const std::uint64_t> words);
+  void append(std::initializer_list<std::uint64_t> words) {
+    append(std::span<const std::uint64_t>(words.begin(), words.size()));
+  }
 
   /// Durability barrier: every record appended so far survives crashes.
   void sync();
@@ -81,6 +90,10 @@ class WriteAheadLog {
   std::uint64_t crashes() const noexcept { return crashes_; }
   std::size_t durableBytes() const noexcept { return durable_.size(); }
   std::size_t pendingBytes() const noexcept { return pending_.size(); }
+  /// The durable device image, byte for byte.
+  std::span<const std::uint8_t> durableImage() const noexcept {
+    return durable_;
+  }
   const FaultConfig& faults() const noexcept { return faults_; }
 
  private:

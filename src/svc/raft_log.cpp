@@ -167,7 +167,7 @@ void RaftLogNode::onApply(raft::LogIndex index, const raft::LogEntry& entry) {
     ++noopsApplied_;
     return;
   }
-  if (!appliedSet_.insert(cmd).second) {
+  if (!appliedSet_.insert(cmd)) {
     ++dupSuppressed_;
     return;
   }

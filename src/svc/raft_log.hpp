@@ -26,12 +26,12 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "raft/raft_process.hpp"
 #include "svc/service.hpp"
 #include "svc/workload.hpp"
+#include "util/flat_value_set.hpp"
 
 namespace ooc::svc {
 
@@ -128,7 +128,7 @@ class RaftLogNode final : public raft::RaftProcess {
   std::unordered_map<Value, Tick> arrivalTick_;
 
   std::vector<Value> applied_;
-  std::unordered_set<Value> appliedSet_;
+  FlatValueSet appliedSet_;
   std::vector<Tick> commitTicks_;
   std::vector<Tick> latencies_;
   std::vector<std::uint32_t> batchSizes_;

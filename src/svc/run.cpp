@@ -14,6 +14,7 @@
 #include "paxos/paxos_node.hpp"
 #include "sim/simulator.hpp"
 #include "svc/raft_log.hpp"
+#include "util/flat_value_set.hpp"
 
 namespace ooc::svc {
 namespace {
@@ -32,10 +33,10 @@ bool prefixEqual(const std::vector<Value>& a, const std::vector<Value>& b) {
 }
 
 bool uniqueValues(const std::vector<Value>& values, bool skipNoop) {
-  std::unordered_set<Value> seen;
+  FlatValueSet seen;
   for (Value v : values) {
     if (skipNoop && v == kNoopBatch) continue;
-    if (!seen.insert(v).second) return false;
+    if (!seen.insert(v)) return false;
   }
   return true;
 }
@@ -253,14 +254,17 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
   sim.run();
 
   // --- collect ---------------------------------------------------------
+  // The audits read every node's logs in place (decree logs stay empty for
+  // Raft, which has none).
   const bool raft = config.engine == "raft";
-  std::vector<std::vector<Value>> appliedLogs(n);
-  std::vector<std::vector<Value>> decreeLogs(n);
+  const std::vector<Value> noDecrees;
+  std::vector<const std::vector<Value>*> appliedLogs(n);
+  std::vector<const std::vector<Value>*> decreeLogs(n, &noDecrees);
   SvcResult result;
   std::uint64_t emitted = 0;
   for (ProcessId id = 0; id < n; ++id) {
     if (raft) {
-      appliedLogs[id] = raftNodes[id]->applied();
+      appliedLogs[id] = &raftNodes[id]->applied();
       emitted += raftNodes[id]->workload().emitted();
       result.duplicatesSuppressed += raftNodes[id]->duplicatesSuppressed();
       result.noopDecrees =
@@ -273,8 +277,8 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
       for (const auto& event : raftNodes[id]->leaderEvents())
         result.leaderEvents.emplace_back(event.at, id);
     } else {
-      appliedLogs[id] = svcNodes[id]->applied();
-      decreeLogs[id] = svcNodes[id]->decreeLog();
+      appliedLogs[id] = &svcNodes[id]->applied();
+      decreeLogs[id] = &svcNodes[id]->decreeLog();
       emitted += svcNodes[id]->workload().emitted();
       result.duplicatesSuppressed += svcNodes[id]->duplicatesSuppressed();
       result.noopDecrees =
@@ -297,8 +301,9 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
   // engines, over the decree logs themselves).
   for (ProcessId a = 0; a < n && result.prefixOk; ++a) {
     for (ProcessId b = a + 1; b < n && result.prefixOk; ++b) {
-      if (!prefixEqual(appliedLogs[a], appliedLogs[b])) result.prefixOk = false;
-      if (!raft && !prefixEqual(decreeLogs[a], decreeLogs[b]))
+      if (!prefixEqual(*appliedLogs[a], *appliedLogs[b]))
+        result.prefixOk = false;
+      if (!raft && !prefixEqual(*decreeLogs[a], *decreeLogs[b]))
         result.prefixOk = false;
     }
   }
@@ -308,24 +313,24 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
   // Raft legitimately relies on suppression across failovers, so only the
   // applied-log uniqueness is asserted for it.
   for (ProcessId id = 0; id < n && result.exactlyOnce; ++id) {
-    if (!uniqueValues(appliedLogs[id], /*skipNoop=*/false))
+    if (!uniqueValues(*appliedLogs[id], /*skipNoop=*/false))
       result.exactlyOnce = false;
-    if (!raft && !uniqueValues(decreeLogs[id], /*skipNoop=*/true))
+    if (!raft && !uniqueValues(*decreeLogs[id], /*skipNoop=*/true))
       result.exactlyOnce = false;
   }
   if (!raft && result.duplicatesSuppressed != 0) result.exactlyOnce = false;
 
   std::size_t longest = 0;
   for (ProcessId id = 0; id < n; ++id) {
-    longest = std::max(longest, appliedLogs[id].size());
+    longest = std::max(longest, appliedLogs[id]->size());
     result.decreesCommitted = std::max(
         result.decreesCommitted,
-        raft ? appliedLogs[id].size() : decreeLogs[id].size());
+        raft ? appliedLogs[id]->size() : decreeLogs[id]->size());
   }
   result.commandsCommitted = longest;
   result.allApplied = result.prefixOk && emitted > 0;
   for (ProcessId id = 0; id < n; ++id)
-    if (appliedLogs[id].size() != emitted) result.allApplied = false;
+    if (appliedLogs[id]->size() != emitted) result.allApplied = false;
 
   // Reference node for the commit timeline: the first node the fault
   // schedule never touches.

@@ -15,6 +15,12 @@ constexpr int kMaxCatchupTries = 6;
 /// Retired engines are dropped once the undecided frontier is this far
 /// past them: no correct straggler can still need their traffic.
 constexpr std::uint64_t kRetireHorizon = 4;
+
+/// Orders SvcNode::timerDecree_ entries against a timer id.
+bool timerBefore(const std::pair<TimerId, std::uint64_t>& entry,
+                 TimerId id) noexcept {
+  return entry.first < id;
+}
 }  // namespace
 
 /// Per-decree view of the node's Context: wraps engine traffic in a
@@ -23,12 +29,10 @@ constexpr std::uint64_t kRetireHorizon = 4;
 class SvcNode::DecreeContextImpl final : public Context {
  public:
   DecreeContextImpl(SvcNode& host, std::uint64_t decree) noexcept
-      : host_(host), decree_(decree) {}
+      : host_(host), decree_(decree), n_(host.ctx().processCount()) {}
 
   ProcessId self() const noexcept override { return host_.ctx().self(); }
-  std::size_t processCount() const noexcept override {
-    return host_.ctx().processCount();
-  }
+  std::size_t processCount() const noexcept override { return n_; }
   Tick now() const noexcept override { return host_.ctx().now(); }
   Rng& rng() noexcept override { return host_.ctx().rng(); }
 
@@ -40,11 +44,11 @@ class SvcNode::DecreeContextImpl final : public Context {
   }
   TimerId setTimer(Tick delay) override {
     const TimerId id = host_.ctx().setTimer(delay);
-    host_.timerDecree_[id] = decree_;
+    host_.timerDecree_.emplace_back(id, decree_);  // ids only increase
     return id;
   }
   void cancelTimer(TimerId id) noexcept override {
-    host_.timerDecree_.erase(id);
+    host_.takeTimer(id);
     host_.ctx().cancelTimer(id);
   }
   void decide(Value v) override { host_.onDecreeDecided(decree_, v); }
@@ -52,6 +56,7 @@ class SvcNode::DecreeContextImpl final : public Context {
  private:
   SvcNode& host_;
   std::uint64_t decree_;
+  std::size_t n_;  // the cluster size never changes
 };
 
 SvcNode::SvcNode(EngineFactory engineFactory, const WorkloadOptions& workload,
@@ -74,10 +79,19 @@ SvcNode::SvcNode(EngineFactory engineFactory, const WorkloadOptions& workload,
 
 SvcNode::~SvcNode() = default;
 
-void SvcNode::persist(std::vector<std::uint64_t> record) {
+void SvcNode::persist(std::span<const std::uint64_t> record) {
   if (!wal_) return;
   wal_->append(record);
   if (options_.syncBeforeReply) wal_->sync();
+}
+
+void SvcNode::persistWithCommands(std::initializer_list<std::uint64_t> head,
+                                  std::span<const Value> cmds) {
+  if (!wal_) return;
+  journalRecord_.assign(head);
+  journalRecord_.push_back(cmds.size());
+  for (Value cmd : cmds) journalRecord_.push_back(enc(cmd));
+  persist(journalRecord_);
 }
 
 Value SvcNode::mintCommand() {
@@ -108,7 +122,8 @@ void SvcNode::onRestart() {
   // calendar and caps persist across the restart — clients do not crash
   // with the replica), but commands in flight at the crash are gone unless
   // the journal remembers them.
-  active_.clear();
+  table_.clear();
+  tableBase_ = 0;
   timerDecree_.clear();
   graveyard_.clear();
   decided_.clear();
@@ -157,7 +172,7 @@ void SvcNode::onRestart() {
 void SvcNode::recoverFromJournal() {
   std::vector<Value> minted;  // in mint order
   std::vector<Value> formed;  // in formation order
-  std::unordered_set<Value> batched;
+  FlatValueSet batched;
   std::uint64_t maxOpen = 0;
   for (const auto& record : wal_->recover()) {
     if (record.empty()) continue;
@@ -178,7 +193,7 @@ void SvcNode::recoverFromJournal() {
           cmds.push_back(dec(record[3 + i]));
           batched.insert(dec(record[3 + i]));
         }
-        batchStore_[id] = std::move(cmds);
+        batchStore_[id] = makeMessage<BatchAnnounce>(id, std::move(cmds));
         formed.push_back(id);
         break;
       }
@@ -209,7 +224,7 @@ void SvcNode::recoverFromJournal() {
         committedBatches_.insert(batch);
         for (std::size_t i = 0; i < n; ++i) {
           const Value cmd = dec(record[4 + i]);
-          if (appliedSet_.insert(cmd).second) applied_.push_back(cmd);
+          if (appliedSet_.insert(cmd)) applied_.push_back(cmd);
         }
         break;
       }
@@ -226,7 +241,7 @@ void SvcNode::recoverFromJournal() {
     if (!batched.contains(cmd) && !appliedSet_.contains(cmd))
       pendingCmds_.push_back(cmd);
   }
-  std::unordered_set<Value> awaiting;
+  FlatValueSet awaiting;
   for (const auto& [decree, batch] : openProposals_) awaiting.insert(batch);
   for (Value batch : formed) {
     if (!committedBatches_.contains(batch) && !awaiting.contains(batch))
@@ -260,7 +275,8 @@ void SvcNode::handleArrivals() {
     const Value cmd = mintCommand();
     pendingCmds_.push_back(cmd);
     arrivalTick_[cmd] = now;
-    persist({kRecCmd, enc(cmd)});
+    const std::uint64_t record[] = {kRecCmd, enc(cmd)};
+    persist(record);
   }
   armArrivalTimer();
   formAndOpen();
@@ -275,8 +291,8 @@ Value SvcNode::takeProposal(std::uint64_t decree) {
     // binding is what keeps the batch live against no-op quorums).
     const Value batch = unassigned_.front();
     unassigned_.pop_front();
-    ctx().fanout(makeMessage<BatchAnnounce>(batch, batchStore_[batch],
-                                            decree));
+    ctx().fanout(makeMessage<BatchAnnounce>(
+        batch, batchStore_.at(batch)->commands(), decree));
     return batch;
   }
   const std::size_t take = std::min(options_.batchMax, pendingCmds_.size());
@@ -302,11 +318,10 @@ Value SvcNode::takeProposal(std::uint64_t decree) {
   pendingCmds_.erase(pendingCmds_.begin(),
                      pendingCmds_.begin() +
                          static_cast<std::ptrdiff_t>(take));
-  std::vector<std::uint64_t> record{kRecBatch, enc(id), take};
-  for (Value cmd : cmds) record.push_back(enc(cmd));
-  persist(std::move(record));
-  batchStore_[id] = cmds;
-  ctx().fanout(makeMessage<BatchAnnounce>(id, std::move(cmds), decree));
+  persistWithCommands({kRecBatch, enc(id)}, cmds);
+  auto announce = makeMessage<BatchAnnounce>(id, std::move(cmds), decree);
+  batchStore_[id] = announce;
+  ctx().fanout(std::move(announce));
   return id;
 }
 
@@ -333,7 +348,8 @@ void SvcNode::openThrough(std::uint64_t decree) {
 
 void SvcNode::openDecree(std::uint64_t decree) {
   const Value proposal = takeProposal(decree);
-  persist({kRecOpen, decree, enc(proposal)});
+  const std::uint64_t record[] = {kRecOpen, decree, enc(proposal)};
+  persist(record);
   // Only OWN batches enter openProposals_ (echoed foreign ones are the
   // owner's to requeue — see the header's double-win note).
   if (proposal != kNoopBatch && batchNode(proposal) == ctx().self())
@@ -343,7 +359,11 @@ void SvcNode::openDecree(std::uint64_t decree) {
   slot.engine = engineFactory_(decree, proposal, proposal != kNoopBatch);
   slot.engine->bind(*slot.context);
   Process* engine = slot.engine.get();
-  active_.emplace(decree, std::move(slot));
+  // Opens land at the table's end; only a catch-up jump past it leaves
+  // engine-less slots behind.
+  if (table_.empty()) tableBase_ = decree;
+  while (tableBase_ + table_.size() < decree) table_.emplace_back();
+  table_.push_back(std::move(slot));
   nextOpen_ = std::max(nextOpen_, decree + 1);
   OOC_TRACE("svc p", ctx().self(), " opens decree ", decree, " proposing ",
             proposal);
@@ -359,8 +379,8 @@ void SvcNode::handleDecreeTraffic(ProcessId from,
     // arrives via catch-up, and the fault budget covers our absence).
     return;
   }
-  auto it = active_.find(decree);
-  if (it == active_.end()) {
+  Process* engine = engineFor(decree);
+  if (engine == nullptr) {
     if (decree < nextOpen_) {
       // Decided and pruned here. The sender is a straggler whose engine
       // lost its quorum partners — tell it the outcome from our applied
@@ -372,10 +392,10 @@ void SvcNode::handleDecreeTraffic(ProcessId from,
       return;
     }
     openThrough(decree);
-    it = active_.find(decree);
-    if (it == active_.end()) return;
+    engine = engineFor(decree);
+    if (engine == nullptr) return;
   }
-  it->second.engine->onMessage(from, envelope.inner());
+  engine->onMessage(from, envelope.inner());
 }
 
 void SvcNode::onDecreeDecided(std::uint64_t decree, Value winner) {
@@ -417,18 +437,16 @@ void SvcNode::applyReady() {
     const Tick now = ctx().now();
     decreeLog_.push_back(batch);
     commitTicks_.push_back(now);
-    std::vector<std::uint64_t> record{kRecCommit, commitIndex_, enc(batch)};
+    std::span<const Value> cmds;
+    if (batch != kNoopBatch) cmds = payload->second->commands();
+    persistWithCommands({kRecCommit, commitIndex_, enc(batch)}, cmds);
     if (batch == kNoopBatch) {
       ++noopDecrees_;
-      record.push_back(0);
     } else {
       committedBatches_.insert(batch);
-      const std::vector<Value>& cmds = payload->second;
       batchSizes_.push_back(static_cast<std::uint32_t>(cmds.size()));
-      record.push_back(cmds.size());
       for (Value cmd : cmds) {
-        record.push_back(enc(cmd));
-        if (!appliedSet_.insert(cmd).second) {
+        if (!appliedSet_.insert(cmd)) {
           ++dupSuppressed_;
           continue;
         }
@@ -443,7 +461,6 @@ void SvcNode::applyReady() {
         }
       }
     }
-    persist(std::move(record));
     ++commitIndex_;
     firstUndecided_ = std::max(firstUndecided_, commitIndex_);
     progressed = true;
@@ -468,11 +485,26 @@ void SvcNode::requestMissingBatch(Value batchId) {
 void SvcNode::pruneRetired() {
   // Engines park in the graveyard until the next top-level event: the
   // pruning call may sit below the pruned engine's own handler frame.
-  while (!active_.empty() &&
-         active_.begin()->first + kRetireHorizon <= firstUndecided_) {
-    graveyard_.push_back(std::move(active_.begin()->second));
-    active_.erase(active_.begin());
+  while (!table_.empty() && tableBase_ + kRetireHorizon <= firstUndecided_) {
+    if (table_.front().engine) graveyard_.push_back(std::move(table_.front()));
+    table_.pop_front();
+    ++tableBase_;
   }
+}
+
+Process* SvcNode::engineFor(std::uint64_t decree) const noexcept {
+  if (decree < tableBase_ || decree - tableBase_ >= table_.size())
+    return nullptr;
+  return table_[decree - tableBase_].engine.get();
+}
+
+std::optional<std::uint64_t> SvcNode::takeTimer(TimerId id) noexcept {
+  const auto at = std::lower_bound(timerDecree_.begin(), timerDecree_.end(),
+                                   id, timerBefore);
+  if (at == timerDecree_.end() || at->first != id) return std::nullopt;
+  const std::uint64_t decree = at->second;
+  timerDecree_.erase(at);
+  return decree;
 }
 
 // --- catch-up --------------------------------------------------------------
@@ -495,14 +527,17 @@ void SvcNode::replyCatchup(ProcessId to, std::uint64_t fromDecree) {
     if (batch == kNoopBatch) continue;
     const auto payload = batchStore_.find(batch);
     if (payload != batchStore_.end())
-      batches.emplace_back(batch, payload->second);
+      batches.emplace_back(batch, payload->second->commands());
   }
   ctx().post(to, makeMessage<CatchupReply>(fromDecree, std::move(decrees),
                                            std::move(batches)));
 }
 
 void SvcNode::mergeCatchup(const CatchupReply& reply) {
-  for (const auto& [id, cmds] : reply.batches()) batchStore_.emplace(id, cmds);
+  for (const auto& [id, cmds] : reply.batches()) {
+    auto [slot, inserted] = batchStore_.try_emplace(id);
+    if (inserted) slot->second = makeMessage<BatchAnnounce>(id, cmds);
+  }
   if (recovering_) {
     // First reply after a non-durable restart: the responder's applied
     // prefix plus the pipeline depth bounds how far our previous
@@ -530,7 +565,9 @@ void SvcNode::onMessage(ProcessId from, const Message& message) {
     return;
   }
   if (const auto* announce = message.as<BatchAnnounce>()) {
-    batchStore_.emplace(announce->batchId(), announce->commands());
+    auto [slot, inserted] = batchStore_.try_emplace(announce->batchId());
+    if (inserted)
+      slot->second = MessageHandle<const BatchAnnounce>::share(*announce);
     // Remember the binding for a decree we have not joined yet: if we open
     // it with nothing of our own, we echo this batch instead of a no-op.
     // First binding wins when two owners race for the same decree.
@@ -559,8 +596,8 @@ void SvcNode::onMessage(ProcessId from, const Message& message) {
     if (payload != batchStore_.end()) {
       // No binding on fetch replies: the batch is typically decided
       // already, so echoing it anywhere would be wrong.
-      ctx().post(from, makeMessage<BatchAnnounce>(fetch->batchId(),
-                                                  payload->second));
+      ctx().post(from, makeMessage<BatchAnnounce>(
+                           fetch->batchId(), payload->second->commands()));
     }
     return;
   }
@@ -590,22 +627,17 @@ void SvcNode::onTimer(TimerId id) {
     fireCatchup();
     return;
   }
-  const auto owner = timerDecree_.find(id);
-  if (owner == timerDecree_.end()) return;
-  const std::uint64_t decree = owner->second;
-  timerDecree_.erase(owner);
-  const auto engine = active_.find(decree);
-  if (engine != active_.end()) engine->second.engine->onTimer(id);
+  const auto decree = takeTimer(id);
+  if (!decree) return;
+  if (Process* engine = engineFor(*decree)) engine->onTimer(id);
 }
 
 void SvcNode::onTick(Tick tick) {
   graveyard_.clear();
-  std::vector<std::uint64_t> decrees;
-  decrees.reserve(active_.size());
-  for (const auto& [decree, unused] : active_) decrees.push_back(decree);
-  for (const std::uint64_t decree : decrees) {
-    const auto engine = active_.find(decree);
-    if (engine != active_.end()) engine->second.engine->onTick(tick);
+  // Decrees opened by a tick handler are not ticked this time around.
+  const std::uint64_t end = tableBase_ + table_.size();
+  for (std::uint64_t decree = tableBase_; decree < end; ++decree) {
+    if (Process* engine = engineFor(decree)) engine->onTick(tick);
   }
 }
 

@@ -62,16 +62,20 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sim/process.hpp"
 #include "store/wal.hpp"
 #include "svc/messages.hpp"
 #include "svc/workload.hpp"
+#include "util/flat_value_set.hpp"
 
 namespace ooc::svc {
 
@@ -204,7 +208,11 @@ class SvcNode final : public Process {
     return static_cast<Value>(w);
   }
 
-  void persist(std::vector<std::uint64_t> record);
+  void persist(std::span<const std::uint64_t> record);
+  /// Journals `head`, then the command count and the commands (the batch
+  /// and commit records).
+  void persistWithCommands(std::initializer_list<std::uint64_t> head,
+                           std::span<const Value> cmds);
   void recoverFromJournal();
 
   Value mintCommand();
@@ -215,6 +223,12 @@ class SvcNode final : public Process {
   void formAndOpen();
   void openThrough(std::uint64_t decree);
   void openDecree(std::uint64_t decree);
+
+  /// The engine hosting `decree`, or null when it is not open here.
+  Process* engineFor(std::uint64_t decree) const noexcept;
+  /// Removes an engine timer's binding; the decree it was armed for, if
+  /// it was still bound.
+  std::optional<std::uint64_t> takeTimer(TimerId id) noexcept;
 
   void handleDecreeTraffic(ProcessId from, const DecreeMessage& envelope);
   void onDecreeDecided(std::uint64_t decree, Value winner);
@@ -244,11 +258,22 @@ class SvcNode final : public Process {
   /// Formed batches awaiting (re-)proposal.
   std::deque<Value> unassigned_;
   /// Batch id -> payload; retained after apply to serve fetch/catch-up.
-  std::unordered_map<Value, std::vector<Value>> batchStore_;
+  /// Holds the announce itself, so every node shares the one command
+  /// vector a batch's owner built.
+  std::unordered_map<Value, MessageHandle<const BatchAnnounce>> batchStore_;
+  /// Scratch for variable-length journal records (reused, durable only).
+  std::vector<std::uint64_t> journalRecord_;
 
   // --- decree pipeline ---
-  std::map<std::uint64_t, ActiveDecree> active_;
-  std::map<TimerId, std::uint64_t> timerDecree_;
+  /// Open engines: slot i hosts decree tableBase_ + i. Opens are
+  /// contiguous at nextOpen_ and pruning pops the front, so the table is a
+  /// window over the log; a slot with no engine is a decree this node
+  /// jumped past without opening it.
+  std::deque<ActiveDecree> table_;
+  std::uint64_t tableBase_ = 0;
+  /// Armed engine timers as (timer id, decree), sorted by id. The
+  /// simulator's timer ids only increase, so arming one appends.
+  std::vector<std::pair<TimerId, std::uint64_t>> timerDecree_;
   /// Decided but not yet applied (applies are strictly in decree order).
   std::map<std::uint64_t, Value> decided_;
   /// Decree -> the OWN batch this node proposed there; consumed when the
@@ -270,8 +295,8 @@ class SvcNode final : public Process {
   // --- applied state ---
   std::vector<Value> decreeLog_;
   std::vector<Value> applied_;
-  std::unordered_set<Value> appliedSet_;
-  std::unordered_set<Value> committedBatches_;
+  FlatValueSet appliedSet_;
+  FlatValueSet committedBatches_;
   std::vector<Tick> commitTicks_;
   std::vector<Tick> latencies_;
   std::vector<std::uint32_t> batchSizes_;

@@ -564,7 +564,7 @@ TEST(ComposeKv, GetU64ReadsAnUnsignedDecimal) {
 TEST(ComposeKv, GetU64RejectsSignsJunkAndOverflow) {
   for (const std::string value :
        {"5x", "-1", "+5", "abc", " 5", "5 ", "", "0x10",
-        "18446744073709551616"})
+        "18446744073709551616", "05", "007", "00"})
     expectMalformed("n", value,
                     [](const compose::KvReader& kv) { kv.getU64("n", 0); });
 }
@@ -585,8 +585,11 @@ TEST(ComposeKv, GetValuesReadsSignedCommaSeparatedIntegers) {
   EXPECT_EQ(kv.getValues("inputs"), (std::vector<Value>{-3, 4, 0}));
   EXPECT_TRUE(kv.getValues("empty").empty());
   EXPECT_TRUE(kv.getValues("missing").empty());
+  // Only the writer's spelling is read: from_chars alone would also take
+  // "-0" and leading zeros, which re-serialize differently.
   for (const std::string value :
-       {"0,1x,0", "0,,1", "0,1,", ",0", "1.5", "0, 1"})
+       {"0,1x,0", "0,,1", "0,1,", ",0", "1.5", "0, 1", "-0,1", "007",
+        "0,05", "-01", "-"})
     expectMalformed("inputs", value, [](const compose::KvReader& kv) {
       kv.getValues("inputs");
     });
@@ -594,13 +597,16 @@ TEST(ComposeKv, GetValuesReadsSignedCommaSeparatedIntegers) {
 
 TEST(ComposeKv, CrashEntriesReadWholeFields) {
   EXPECT_EQ(compose::parseEntryU64("250"), std::optional<std::uint64_t>(250));
-  for (const std::string field : {"", "0x", "+1", "-1", "25 0"})
+  EXPECT_EQ(compose::parseEntryU64("0"), std::optional<std::uint64_t>(0));
+  for (const std::string field :
+       {"", "0x", "+1", "-1", "25 0", "007", "00", "-0"})
     EXPECT_FALSE(compose::parseEntryU64(field).has_value()) << field;
 
   const std::pair<ProcessId, Tick> crash{3, 40};
   EXPECT_EQ(compose::parseCrash(compose::crashEntry(crash)), crash);
   for (const std::string entry :
-       {"3@40x", "3x@40", "3", "@40", "3@", "4294967296@1"})
+       {"3@40x", "3x@40", "3", "@40", "3@", "4294967296@1", "03@40",
+        "3@040"})
     EXPECT_NE(throwText([&] { compose::parseCrash(entry); })
                   .find("'" + entry + "'"),
               std::string::npos)

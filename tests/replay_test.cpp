@@ -185,11 +185,33 @@ TEST(Replay, MalformedCounterexampleThrows) {
   EXPECT_EQ(svc::parseSvcConfig(svcBody + "restart=1@5+50").restarts.size(),
             1u);
   for (const std::string restart :
-       {"1x@5+50", "1@5junk+50", "x@5+50", "2@+50", "2@5+"}) {
+       {"1x@5+50", "1@5junk+50", "x@5+50", "2@+50", "2@5+", "1@007+5",
+        "01@5+50", "1@5+050"}) {
     expectRejectedEntry(
         [&] { (void)svc::parseSvcConfig(svcBody + "restart=" + restart); },
         restart);
   }
+  // A non-canonical integer would load, then re-serialize differently and
+  // change the run-id, so it is rejected like any other malformed field.
+  const auto respell = [](std::string body, const std::string& from,
+                          const std::string& to) {
+    const auto at = body.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? body : body.replace(at, from.size(), to);
+  };
+  expectRejectedEntry(
+      [&] {
+        (void)svc::parseSvcConfig(respell(svcBody, "\nn=5\n", "\nn=05\n"));
+      },
+      "05");
+  compose::Composition twoInputs;
+  twoInputs.inputs = {0, 1};
+  expectRejectedEntry(
+      [&] {
+        (void)compose::parseComposition(respell(
+            compose::serialize(twoInputs), "inputs=0,1", "inputs=-0,1"));
+      },
+      "-0,1");
 
   // Well-formed entries naming a process id >= n are rejected too, on
   // every parse path (n = 5 throughout).

@@ -438,6 +438,31 @@ TEST(MessageHandle, CopyMoveAndBaseConversionShareOnePayload) {
   EXPECT_EQ(lifeDestroyed, 1);  // the last handle deleted it, once
 }
 
+// A receiver sees a payload by reference; share() turns that reference
+// back into a handle, which keeps the payload alive past its sender's
+// handles. A payload no handle owns is refused rather than adopted.
+TEST(MessageHandle, ShareRetainsAHandleOwnedPayload) {
+  lifeDestroyed = 0;
+  {
+    MessageHandle<const LifeMsg> kept;
+    {
+      const MessagePtr sent = makeMessage<LifeMsg>(7);
+      const LifeMsg& seen = *sent->as<LifeMsg>();
+      kept = MessageHandle<const LifeMsg>::share(seen);
+      EXPECT_EQ(sent.useCount(), 2u);
+      EXPECT_EQ(kept.get(), &seen);
+    }
+    EXPECT_EQ(kept.useCount(), 1u);
+    EXPECT_EQ(kept->v, 7);
+    EXPECT_EQ(lifeDestroyed, 0);
+  }
+  EXPECT_EQ(lifeDestroyed, 1);
+
+  const LifeMsg onStack(3);
+  EXPECT_THROW((void)MessageHandle<const LifeMsg>::share(onStack),
+               std::logic_error);
+}
+
 TEST(MessageHandle, CopyConstructedPayloadStartsUnshared) {
   lifeDestroyed = 0;
   const auto original = makeMessage<LifeMsg>(1);

@@ -5,6 +5,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "store/wal.hpp"
@@ -30,6 +32,64 @@ TEST(Crc32, DetectsSingleBitFlips) {
       bytes[at] ^= static_cast<std::uint8_t>(1 << bit);
     }
   }
+}
+
+// The bytewise CRC-32 the slice-by-8 routine must agree with.
+std::uint32_t bytewiseCrc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit)
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+// Lengths 0..17 cover the bytewise tail alone, one and two 8-byte blocks,
+// and every tail length behind them; each start offset 0..3 shifts the
+// blocks off the buffer's alignment.
+TEST(Crc32, SliceBy8MatchesTheBytewiseReference) {
+  std::vector<std::uint8_t> bytes(24);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  for (std::size_t offset = 0; offset < 4; ++offset) {
+    for (std::size_t length = 0; length <= 17; ++length) {
+      EXPECT_EQ(crc32(bytes.data() + offset, length),
+                bytewiseCrc32(bytes.data() + offset, length))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+// The device format is pinned byte for byte (recorded from the build
+// before append() encoded in place): svc-shaped command, batch and commit
+// records, an empty record and an all-ones word.
+TEST(WriteAheadLog, ImagePinned) {
+  WriteAheadLog wal;
+  const std::vector<std::uint64_t> batch{2, (1ull << 62) | 7, 2, 0x100000001,
+                                         0x100000002};
+  wal.append({1, 0x100000001});
+  wal.append(batch);
+  wal.append({});
+  wal.append({0xFFFF'FFFF'FFFF'FFFFull});
+  wal.sync();
+  wal.append({4, 0, (1ull << 62) | 7});
+  wal.sync();
+  EXPECT_EQ(hex(wal.durableImage()),
+            "100000003fbdc5360100000000000000010000000100000028000000fbe7c379"
+            "0200000000000000070000000000004002000000000000000100000001000000"
+            "02000000010000000000000000000000080000001cdf4421ffffffffffffffff"
+            "18000000f61cdeb6040000000000000000000000000000000700000000000040");
 }
 
 TEST(WriteAheadLog, SyncedRecordsRoundTrip) {

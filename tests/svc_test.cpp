@@ -333,6 +333,35 @@ TEST(ReplicatedLog, RestartPreservesPrefixAgreement) {
   }
 }
 
+// With a pipeline, a non-durable restart makes the node jump: its first
+// catch-up reply moves its next open to the responder's applied prefix
+// plus twice the window, so the decrees in between are learned, never
+// opened there, and its decree table starts over above the jump. The
+// rebuilt log must agree with every peer's, win no batch twice and apply
+// no command twice, and the restarted node must catch up to the end.
+TEST(ReplicatedLog, NonDurableRestartJumpsPastTheQuarantine) {
+  for (std::uint64_t seed = 60; seed <= 63; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SvcConfig config = sequentialLog(5, 40, seed);
+    config.service.window = 4;
+    config.service.batchMax = 4;
+    config.workload.arrivalsPerTick = 0.05;
+    config.restarts.push_back({/*id=*/2, /*at=*/300, /*downtime=*/60});
+    const LogRun run = runLog(config);
+    ASSERT_FALSE(run.hitCap);
+    const std::vector<Value>& decrees = run.decrees[0];
+    std::vector<Value> batches;
+    for (const Value batch : decrees)
+      if (batch != kNoopBatch) batches.push_back(batch);
+    EXPECT_TRUE(allDistinct(batches));
+    for (ProcessId id = 0; id < 5; ++id) {
+      EXPECT_EQ(run.decrees[id], decrees) << "node " << id;
+      EXPECT_TRUE(isPrefix(run.applied[id], run.applied[0])) << "node " << id;
+      EXPECT_TRUE(allDistinct(run.applied[id])) << "node " << id;
+    }
+  }
+}
+
 // n = 5, t = 2: two nodes crash mid-stream. The three survivors' logs stay
 // identical, no command is applied twice, and every survivor's commands
 // commit; the crashed nodes' pending commands may be lost with their
@@ -493,6 +522,91 @@ TEST(Svc, RaftMessagesPerCommandFlatUnderOverload) {
   const double overload = msgsPerCommit(0.2);
   EXPECT_LE(overload, 1.5 * steady)
       << "steady " << steady << " msgs/commit, overload " << overload;
+}
+
+// The schedules are pinned: a change to the service host's bookkeeping
+// (decree table, batch store, dedup sets, journal encoding) must leave
+// every run's event count, message bill and commit record as it was. The
+// expected rows were recorded from the build before the host's decree
+// table, shared batch payloads and flat dedup sets went in. The shape is
+// perfbench's svc-steady (n=5, delay 1..6, window 4, batch <= 4, durable
+// journals, open-loop zipfian load at theta=0.99) at 0.05 and 0.2
+// arrivals/tick/node, plus one crash-restart of node 0 at tick 2000 for
+// 150 ticks at 0.05.
+TEST(Svc, EngineResultsPinned) {
+  struct Pinned {
+    std::string engine;
+    double rate = 0;
+    bool failover = false;
+    std::uint64_t events = 0;
+    std::uint64_t messages = 0;
+    std::uint64_t emitted = 0;
+    std::uint64_t committed = 0;
+    std::uint64_t decrees = 0;
+    std::uint64_t noops = 0;
+    std::uint64_t dupes = 0;
+    std::uint64_t latencySum = 0;
+    bool exactlyOnce = true;
+
+    bool operator==(const Pinned&) const = default;
+    std::string row() const {
+      return "{\"" + engine + "\", " + std::to_string(rate) + ", " +
+             (failover ? "true" : "false") + ", " + std::to_string(events) +
+             ", " + std::to_string(messages) + ", " +
+             std::to_string(emitted) + ", " + std::to_string(committed) +
+             ", " + std::to_string(decrees) + ", " + std::to_string(noops) +
+             ", " + std::to_string(dupes) + ", " +
+             std::to_string(latencySum) + ", " +
+             (exactlyOnce ? "true" : "false") + "}";
+    }
+  };
+  const std::vector<Pinned> expected = {
+      {"raft", 0.05, false, 26839, 18657, 995, 995, 995, 0, 0, 16720, true},
+      {"raft", 0.2, false, 20726, 15624, 1000, 1000, 1000, 0, 0, 36891, true},
+      {"raft", 0.05, true, 26655, 18566, 995, 995, 995, 0, 0, 14361, true},
+      {"paxos", 0.05, false, 131741, 122489, 1000, 1000, 612, 0, 0, 255768,
+       true},
+      {"paxos", 0.2, false, 63539, 58556, 1000, 1000, 304, 0, 0, 661611, true},
+      {"paxos", 0.05, true, 129005, 119906, 1000, 1000, 611, 0, 0, 219093,
+       true},
+      {"compose", 0.05, false, 194868, 193863, 1000, 1000, 576, 29, 0, 177513,
+       true},
+      {"compose", 0.2, false, 92698, 91693, 1000, 1000, 273, 5, 0, 565327,
+       true},
+      {"compose", 0.05, true, 187197, 186196, 1000, 994, 558, 26, 0, 139360,
+       true},
+  };
+  for (const Pinned& pin : expected) {
+    SvcConfig config;
+    config.engine = pin.engine;
+    config.detector = "benor-vac";
+    config.driver = "lottery";
+    config.n = 5;
+    config.seed = 1;
+    config.minDelay = 1;
+    config.maxDelay = 6;
+    config.service.window = 4;
+    config.service.batchMax = 4;
+    config.service.durable = true;
+    config.workload.clients = 100000;
+    config.workload.commandsPerNode = 200;
+    config.workload.closedLoop = false;
+    config.workload.arrivalsPerTick = pin.rate;
+    config.workload.zipfTheta = 0.99;
+    if (pin.failover) config.restarts.push_back({0, 2000, 150});
+    const SvcResult result = runSvc(config);
+    Pinned actual{pin.engine, pin.rate, pin.failover};
+    actual.events = result.eventsProcessed;
+    actual.messages = result.messagesByCorrect;
+    actual.emitted = result.commandsEmitted;
+    actual.committed = result.commandsCommitted;
+    actual.decrees = result.decreesCommitted;
+    actual.noops = result.noopDecrees;
+    actual.dupes = result.duplicatesSuppressed;
+    for (const Tick latency : result.latencies) actual.latencySum += latency;
+    actual.exactlyOnce = result.exactlyOnce;
+    EXPECT_EQ(actual, pin) << "got " << actual.row();
+  }
 }
 
 // Key draws are a pure function of (options, node, n, seed): pinned here so

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
+#include "util/flat_value_set.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -209,6 +211,64 @@ TEST(Logging, LevelGate) {
   setLogLevel(LogLevel::kWarn);
   EXPECT_EQ(logLevel(), LogLevel::kWarn);
   setLogLevel(LogLevel::kOff);
+}
+
+// FlatValueSet: the open-addressing dedup set on the svc commit path.
+TEST(FlatValueSet, EmptySetContainsNothing) {
+  const FlatValueSet set;
+  EXPECT_TRUE(set.empty());
+  EXPECT_EQ(set.size(), 0u);
+  for (const Value v : {Value{0}, Value{1}, Value{-1}, kNoValue})
+    EXPECT_FALSE(set.contains(v)) << v;
+}
+
+TEST(FlatValueSet, KeyZeroIsAnOrdinaryKey) {
+  FlatValueSet set;
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_FALSE(set.insert(0));
+  EXPECT_TRUE(set.contains(0));
+  EXPECT_FALSE(set.contains(1));
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_TRUE(set.insert(1));
+  EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(FlatValueSet, DuplicatesAreRefused) {
+  FlatValueSet set;
+  for (const Value v : {Value{5}, Value{-5}, kNoValue,
+                        std::numeric_limits<Value>::max()}) {
+    EXPECT_TRUE(set.insert(v)) << v;
+    EXPECT_FALSE(set.insert(v)) << v;
+  }
+  EXPECT_EQ(set.size(), 4u);
+}
+
+// Ten thousand keys take the table through several doublings; every key
+// must survive each rehash, and nothing else may appear. The keys mimic
+// command ids: a shared high half and a dense low half.
+TEST(FlatValueSet, GrowthAcrossRehashesKeepsEveryKey) {
+  FlatValueSet set;
+  std::set<Value> reference;
+  Rng rng(99);
+  for (int i = 0; i < 10000; ++i) {
+    const Value v = (Value{3} << 32) + static_cast<Value>(rng.below(20000));
+    EXPECT_EQ(set.insert(v), reference.insert(v).second) << v;
+  }
+  EXPECT_EQ(set.size(), reference.size());
+  for (Value v = (Value{3} << 32); v < (Value{3} << 32) + 20000; ++v)
+    EXPECT_EQ(set.contains(v), reference.contains(v)) << v;
+  EXPECT_FALSE(set.contains(0));
+}
+
+TEST(FlatValueSet, ClearEmptiesTheSetForReuse) {
+  FlatValueSet set;
+  for (Value v = 0; v < 100; ++v) set.insert(v);
+  set.clear();
+  EXPECT_TRUE(set.empty());
+  for (Value v = 0; v < 100; ++v) EXPECT_FALSE(set.contains(v)) << v;
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_TRUE(set.insert(42));
+  EXPECT_EQ(set.size(), 2u);
 }
 
 }  // namespace
