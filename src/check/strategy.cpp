@@ -249,12 +249,27 @@ Scenario CrashScheduleStrategy::generate(std::size_t index) const {
 // ---------------------------------------------------------------------------
 // RestartScheduleStrategy
 
+namespace {
+/// Svc restart cells: 100 open-loop commands per node at 0.05 per tick, so
+/// emission spans the 2000 ticks the svc grid's crash ticks cover.
+constexpr std::uint64_t kSvcCommandsPerNode = 100;
+constexpr double kSvcArrivalsPerTick = 0.05;
+}  // namespace
+
+RestartScheduleStrategy::Options RestartScheduleStrategy::Options::svc() {
+  Options options;
+  options.crashTicks = {300, 700, 1100, 1500, 1900};
+  options.downtimes = {20, 150, 400};
+  options.seedsPerSchedule = 4;
+  return options;
+}
+
 RestartScheduleStrategy::RestartScheduleStrategy(Scenario base,
                                                  Options options)
     : base_(std::move(base)), options_(std::move(options)) {
-  if (base_.family != Family::kRaft)
+  if (base_.family != Family::kRaft && base_.family != Family::kSvc)
     throw std::invalid_argument(
-        "restart-schedule enumeration needs the raft family");
+        "restart-schedule enumeration needs the raft or svc family");
   if (options_.crashTicks.empty() || options_.downtimes.empty() ||
       options_.seedsPerSchedule == 0)
     throw std::invalid_argument("restart-schedule strategy needs a grid");
@@ -311,9 +326,18 @@ Scenario RestartScheduleStrategy::generate(std::size_t index) const {
   }
 
   Scenario scenario = base_;
-  scenario.raft.restarts = std::move(restarts);
-  scenario.raft.dropProbability =
-      std::max(scenario.raft.dropProbability, options_.dropProbability);
+  if (scenario.family == Family::kSvc) {
+    auto& config = scenario.svc;
+    config.restarts = std::move(restarts);
+    config.service.durable = true;
+    config.workload.closedLoop = false;
+    config.workload.commandsPerNode = kSvcCommandsPerNode;
+    config.workload.arrivalsPerTick = kSvcArrivalsPerTick;
+  } else {
+    scenario.raft.restarts = std::move(restarts);
+    scenario.raft.dropProbability =
+        std::max(scenario.raft.dropProbability, options_.dropProbability);
+  }
   scenario.setSeed(options_.seedBase + seedOffset);
   return scenario;
 }

@@ -123,7 +123,10 @@ class CrashScheduleStrategy final : public ExplorationStrategy {
 /// restart set of up to `maxRestarts` distinct processes (plus the
 /// restart-free schedule), each member restarting at every combination of
 /// (crash tick, downtime) from the grids, swept over `seedsPerSchedule` run
-/// seeds. Raft only (the other families have no recovery path to exercise).
+/// seeds. Raft and svc (the other families have no recovery path to
+/// exercise). Svc scenarios run with durable journals under an open-loop
+/// load, so the crash ticks land mid-emission — while batches are being
+/// lost, re-bound and applied — rather than on a drained log.
 class RestartScheduleStrategy final : public ExplorationStrategy {
  public:
   struct Options {
@@ -138,13 +141,18 @@ class RestartScheduleStrategy final : public ExplorationStrategy {
     std::vector<Tick> downtimes = {1, 20, 80};
     std::size_t seedsPerSchedule = 10;
     std::uint64_t seedBase = 1;
-    /// Message loss stretches elections across multiple competing
+    /// Raft: message loss stretches elections across multiple competing
     /// candidacies, which is what gives a forgotten vote a second
     /// same-term candidate to defect to.
     double dropProbability = 0.1;
+
+    /// The svc grid: crash ticks spread across the service's 2000-tick
+    /// emission, downtimes from a blip to several catch-up rounds.
+    static Options svc();
   };
 
-  /// Throws std::invalid_argument for non-Raft families or empty grids.
+  /// Throws std::invalid_argument for families other than raft and svc,
+  /// or empty grids.
   RestartScheduleStrategy(Scenario base, Options options);
 
   const char* name() const noexcept override { return "restart-schedule"; }

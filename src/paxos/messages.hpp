@@ -68,6 +68,17 @@ struct Nack final : MessageBase<Nack> {
   }
 };
 
+/// Ω mode: a node with a value hands it to the leader its oracle trusts
+/// instead of balloting itself. The leader proposes it unless it holds a
+/// value of its own or a promise obliges it to re-propose another.
+struct Forward final : MessageBase<Forward> {
+  explicit Forward(Value value) : value(value) {}
+  Value value;
+  std::string describe() const override {
+    return "Forward{" + std::to_string(value) + "}";
+  }
+};
+
 /// Decision short-circuit: a node that learned the chosen value announces
 /// it, letting laggards decide without replaying a ballot.
 struct DecidedAnnounce final : MessageBase<DecidedAnnounce> {

@@ -1,6 +1,7 @@
 #include "paxos/paxos_node.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.hpp"
 
@@ -20,10 +21,16 @@ Value decodeValue(std::uint64_t w) noexcept {
   return static_cast<Value>(static_cast<std::int64_t>(w));
 }
 
+/// Ω mode: forwards a value holder sends before it ballots itself.
+constexpr int kMaxForwards = 3;
+
 }  // namespace
 
 PaxosNode::PaxosNode(Value input, PaxosConfig config)
-    : input_(input), config_(config) {
+    : input_(input),
+      config_(std::move(config)),
+      proposal_(input),
+      hasValue_(config_.hasValue) {
   if (config_.durable)
     wal_ = std::make_unique<store::WriteAheadLog>(config_.storage);
 }
@@ -51,6 +58,9 @@ void PaxosNode::onRestart() {
   promiseFrom_.reset(ctx().processCount());
   highestAcceptedSeen_ = 0;
   valueToPropose_ = kNoValue;
+  proposal_ = input_;
+  hasValue_ = config_.hasValue;
+  forwards_ = 0;
   acceptedTallies_.clear();
   decided_ = false;
   decision_ = kNoValue;
@@ -88,7 +98,9 @@ void PaxosNode::onRestart() {
   attempt_ = promised_ / ctx().processCount() + 1;
   record(Confidence::kVacillate,
          acceptedBallot_ != 0 ? acceptedValue_ : input_);
-  if (!decided_ && config_.propose) armRetryTimer();
+  if (decided_) return;
+  if (config_.omega) leadOrForward(/*timedOut=*/false);
+  if (config_.propose) armRetryTimer();
 }
 
 void PaxosNode::record(Confidence confidence, Value value) {
@@ -103,6 +115,7 @@ void PaxosNode::record(Confidence confidence, Value value) {
 void PaxosNode::onStart() {
   promiseFrom_.reset(ctx().processCount());
   record(Confidence::kVacillate, input_);
+  if (config_.omega) leadOrForward(/*timedOut=*/false);
   if (config_.propose) armRetryTimer();
 }
 
@@ -123,7 +136,11 @@ void PaxosNode::onTimer(TimerId id) {
   ++reconciliatorInvocations_;
   record(Confidence::kVacillate,
          acceptedBallot_ != 0 ? acceptedValue_ : input_);
-  startBallot();
+  if (config_.omega) {
+    leadOrForward(/*timedOut=*/true);
+  } else {
+    startBallot();
+  }
   backoff_ = std::min(backoff_ * config_.backoffFactor,
                       static_cast<double>(config_.backoffCap));
   armRetryTimer();
@@ -138,9 +155,20 @@ void PaxosNode::startBallot() {
   acceptRequested_ = false;
   promiseFrom_.reset(ctx().processCount());
   highestAcceptedSeen_ = 0;
-  valueToPropose_ = input_;
+  valueToPropose_ = proposal_;
   OOC_TRACE("paxos p", ctx().self(), " ballot ", currentBallot_);
   ctx().fanout(makeMessage<Prepare>(currentBallot_));
+}
+
+void PaxosNode::leadOrForward(bool timedOut) {
+  const ProcessId self = ctx().self();
+  const ProcessId leader = config_.omega->leader(self, ctx().now());
+  if (leader != self && hasValue_ && forwards_ < kMaxForwards) {
+    ++forwards_;
+    ctx().post(leader, makeMessage<Forward>(proposal_));
+  } else if ((leader == self && hasValue_) || timedOut) {
+    startBallot();
+  }
 }
 
 void PaxosNode::onMessage(ProcessId from, const Message& message) {
@@ -156,6 +184,8 @@ void PaxosNode::onMessage(ProcessId from, const Message& message) {
     handleNack(from, *msg);
   } else if (const auto* msg = message.as<DecidedAnnounce>()) {
     learn(msg->value);
+  } else if (const auto* msg = message.as<Forward>()) {
+    handleForward(*msg);
   }
 }
 
@@ -223,6 +253,19 @@ void PaxosNode::handleNack(ProcessId, const Nack& msg) {
   const std::uint64_t neededAttempt = msg.promised / ctx().processCount();
   attempt_ = std::max(attempt_, neededAttempt);
   proposing_ = false;
+}
+
+void PaxosNode::handleForward(const Forward& msg) {
+  // Only a node without a value of its own takes one up: the first
+  // forward sets it balloting (a value holder already ballots or forwards
+  // for its own). Any proposal is safe here — the promises still force a
+  // previously accepted value over it.
+  if (decided_ || hasValue_) return;
+  hasValue_ = true;
+  proposal_ = msg.value;
+  if (proposing_ || acceptRequested_) return;  // a rescue ballot is live
+  startBallot();
+  armRetryTimer();
 }
 
 void PaxosNode::learn(Value value) {

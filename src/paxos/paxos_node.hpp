@@ -12,6 +12,13 @@
 // The retry timer (randomized backoff) is the reconciliator: it shakes
 // dueling-proposer stalemates exactly as Raft's election timer does.
 //
+// Ω mode swaps that reconciliator for the failure-detector object: with an
+// Ω oracle attached, a node holding a value forwards it to the leader Ω
+// trusts instead of balloting, and only the leader ballots at once. The
+// retry timer stays as the fallback (a value holder that forwarded three
+// times without a decision ballots itself), so a wrong, late or silent
+// leader costs time only: safety never rests on the oracle.
+//
 // Liveness: classic Paxos can livelock under duelling proposers; the
 // randomized, exponentially backed-off retry timer makes termination
 // probability-1 — the timing property again.
@@ -26,6 +33,7 @@
 
 #include "core/confidence.hpp"
 #include "core/tally.hpp"
+#include "fd/oracle.hpp"
 #include "paxos/messages.hpp"
 #include "sim/process.hpp"
 #include "store/wal.hpp"
@@ -56,6 +64,17 @@ struct PaxosConfig {
   bool syncBeforeReply = true;
   /// Storage fault injection applied when a crash hits the journal.
   store::FaultConfig storage;
+  /// Ω-led proposer selection; null keeps every proposing node balloting
+  /// on its own retry timer. With an oracle, a node holding a value sends
+  /// it to Ω's current leader in a Forward; the leader ballots at once for
+  /// its own value, or on the first forward when it holds none. Every
+  /// node still arms the retry timer under `propose`, and the leader arms
+  /// it once a forward sets it balloting.
+  std::shared_ptr<const fd::Oracle> omega;
+  /// Ω mode: whether the input is a value to get chosen. A node joining
+  /// with a placeholder input forwards nothing and ballots only as the
+  /// leader (on a forward) or, under `propose`, as a timed-out rescue.
+  bool hasValue = true;
 };
 
 class PaxosNode final : public Process {
@@ -103,6 +122,10 @@ class PaxosNode final : public Process {
   void record(Confidence confidence, Value value);
   void armRetryTimer();
   void startBallot();
+  /// Ω mode: ballot if Ω trusts this node, else forward the value to the
+  /// leader; `timedOut` also lets a node that may not forward (placeholder
+  /// input, or forwards exhausted) ballot as the rescue.
+  void leadOrForward(bool timedOut);
   void learn(Value value);
   void persist(std::span<const std::uint64_t> record);
 
@@ -111,9 +134,16 @@ class PaxosNode final : public Process {
   void handleAccept(ProcessId from, const Accept& msg);
   void handleAccepted(ProcessId from, const Accepted& msg);
   void handleNack(ProcessId from, const Nack& msg);
+  void handleForward(const Forward& msg);
 
   Value input_;
   PaxosConfig config_;
+  /// The value this node ballots for: its input, or in Ω mode the first
+  /// forwarded value when the input is a placeholder.
+  Value proposal_;
+  bool hasValue_;
+  /// Ω mode: forwards sent to a leader without a decision.
+  int forwards_ = 0;
 
   // Acceptor state.
   Ballot promised_ = 0;

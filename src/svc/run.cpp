@@ -10,6 +10,7 @@
 #include "compose/kv.hpp"
 #include "compose/registry.hpp"
 #include "core/consensus_process.hpp"
+#include "fd/oracle.hpp"
 #include "obs/metrics.hpp"
 #include "paxos/paxos_node.hpp"
 #include "sim/simulator.hpp"
@@ -140,6 +141,32 @@ EngineFactory composeEngineFactory(const SvcConfig& config) {
   };
 }
 
+EngineFactory paxosEngineFactory(const SvcConfig& config) {
+  // Ω picks each decree's proposer: value holders forward to the leader
+  // the run's own fault schedule implies, and every retry timer runs at
+  // the rescue bounds so the leader's retry outlasts a four-delay ballot.
+  // Reactive joiners arm that timer only when the run has faults — the
+  // rescue for decrees whose proposer (or leader) died mid-ballot.
+  fd::FaultSchedule schedule =
+      fd::FaultSchedule::fromCrashList(config.n, config.crashes);
+  for (const RestartEvent& event : config.restarts)
+    schedule.restart(event.id, event.at, event.downtime);
+  paxos::PaxosConfig base;
+  base.retryMin = config.paxosRetryMin * 8;
+  base.retryMax = config.paxosRetryMax * 8;
+  base.omega = fd::makeScheduleOracle(fd::OracleClass::kOmega,
+                                      fd::OracleKnobs{}, std::move(schedule),
+                                      config.seed);
+  const bool rescue = !config.crashes.empty() || !config.restarts.empty();
+  return [base, rescue](std::uint64_t /*decree*/, Value proposal,
+                        bool proposer) -> std::unique_ptr<Process> {
+    paxos::PaxosConfig pc = base;
+    pc.hasValue = proposer;
+    pc.propose = proposer || rescue;
+    return std::make_unique<paxos::PaxosNode>(proposal, std::move(pc));
+  };
+}
+
 SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
   if (const auto rejected = validateEngine(config))
     throw std::invalid_argument(*rejected);
@@ -182,33 +209,9 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
       sim.addProcess(std::move(node));
     }
   } else {
-    EngineFactory factory;
-    if (config.engine == "paxos") {
-      // One proposer per decree (the batch owner); everyone else is a
-      // passive acceptor/learner — unless the run has faults, in which
-      // case reactive joiners drive a slow no-op ballot as the rescue for
-      // decrees whose proposer died mid-ballot.
-      const bool rescue =
-          !config.crashes.empty() || !config.restarts.empty();
-      const paxos::PaxosConfig base = [&] {
-        paxos::PaxosConfig pc;
-        pc.retryMin = config.paxosRetryMin;
-        pc.retryMax = config.paxosRetryMax;
-        return pc;
-      }();
-      factory = [base, rescue](std::uint64_t /*decree*/, Value proposal,
-                               bool proposer) -> std::unique_ptr<Process> {
-        paxos::PaxosConfig pc = base;
-        if (!proposer) {
-          pc.propose = rescue;
-          pc.retryMin = base.retryMin * 8;
-          pc.retryMax = base.retryMax * 8;
-        }
-        return std::make_unique<paxos::PaxosNode>(proposal, pc);
-      };
-    } else {
-      factory = composeEngineFactory(config);
-    }
+    const EngineFactory factory = config.engine == "paxos"
+                                      ? paxosEngineFactory(config)
+                                      : composeEngineFactory(config);
     for (ProcessId id = 0; id < n; ++id) {
       auto node = std::make_unique<SvcNode>(factory, config.workload, n,
                                             config.seed, config.service);

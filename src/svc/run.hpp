@@ -46,8 +46,8 @@ using RestartEvent = compose::RestartEvent;
 
 struct SvcConfig {
   /// Which consensus powers the decrees: "compose" (registry pairing,
-  /// gated), "paxos" (one PaxosNode per decree), or "raft" (native
-  /// multi-decree log; SvcNode is not used).
+  /// gated), "paxos" (one PaxosNode per decree, its proposer picked by
+  /// Ω), or "raft" (native multi-decree log; SvcNode is not used).
   std::string engine = "compose";
 
   /// Registry names for engine="compose".
@@ -83,9 +83,10 @@ struct SvcConfig {
   Round maxRoundsPerDecree = 2000;
   Tick maxTicks = 2'000'000;
 
-  /// Paxos engine: proposer retry bounds. Must be small — a decree's
-  /// first ballot fires from this timer. Reactive (no-op) joiners use 8x
-  /// these bounds as the failover rescue when the run has faults.
+  /// Paxos engine: base retry bounds. Ω picks each decree's proposer, so
+  /// every retry timer runs at 8x these bounds (the value holders'
+  /// fallback ballot, and the reactive joiners' failover rescue when the
+  /// run has faults).
   Tick paxosRetryMin = 4;
   Tick paxosRetryMax = 12;
 
@@ -141,6 +142,12 @@ std::optional<std::string> validateEngine(const SvcConfig& config);
 /// lottery. Unknown registry names throw; the capability gate is
 /// validateEngine's job.
 EngineFactory composeEngineFactory(const SvcConfig& config);
+
+/// The per-decree engine factory runSvc hosts for engine="paxos": one
+/// PaxosNode per decree whose proposer Ω picks. The Ω oracle is modeled
+/// from the run's own crash/restart schedule and seed, so the config needs
+/// no oracle keys; a wrong or late leader costs time, never safety.
+EngineFactory paxosEngineFactory(const SvcConfig& config);
 
 /// Runs one service configuration to quiescence. Deterministic in
 /// (config, seed); throws std::invalid_argument on an inadmissible engine

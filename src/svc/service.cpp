@@ -21,6 +21,12 @@ bool timerBefore(const std::pair<TimerId, std::uint64_t>& entry,
                  TimerId id) noexcept {
   return entry.first < id;
 }
+
+/// A command's sequence half, (incarnation << 24) | per-incarnation count:
+/// the key of SvcNode::arrivalTick_.
+std::uint64_t commandSeq(Value command) noexcept {
+  return static_cast<std::uint32_t>(command);
+}
 }  // namespace
 
 /// Per-decree view of the node's Context: wraps engine traffic in a
@@ -95,14 +101,10 @@ void SvcNode::persistWithCommands(std::initializer_list<std::uint64_t> head,
 }
 
 Value SvcNode::mintCommand() {
-  // The incarnation lives in bits 24..31 of the sequence half so ids can
-  // never collide across restarts (a non-durable restart forgets cmdSeq_).
   ++cmdSeq_;
   if (cmdSeq_ >= (1u << 24))
     throw std::overflow_error("svc: command sequence exhausted");
-  const std::uint32_t seq =
-      (static_cast<std::uint32_t>(recoveries_ & 0xFF) << 24) | cmdSeq_;
-  return makeCommand(ctx().self(), seq);
+  return makeCommand(ctx().self(), incarnationBits() | cmdSeq_);
 }
 
 void SvcNode::onStart() {
@@ -131,6 +133,7 @@ void SvcNode::onRestart() {
   announcedBinding_.clear();
   pendingCmds_.clear();
   arrivalTick_.clear();
+  arrivalTick_.advanceTo(incarnationBits());
   unassigned_.clear();
   batchStore_.clear();
   decreeLog_.clear();
@@ -205,8 +208,17 @@ void SvcNode::recoverFromJournal() {
         // must not be adopted back: requeueing one on loss would bind it
         // to a second decree while its owner re-proposes it too.
         const Value proposal = dec(record[2]);
-        if (proposal != kNoopBatch && batchNode(proposal) == ctx().self())
-          openProposals_[decree] = proposal;
+        if (proposal == kNoopBatch || batchNode(proposal) != ctx().self())
+          break;
+        // A later open of the same batch is a re-binding, journaled only
+        // after the earlier decree was lost: it replaces that binding, as
+        // at run time. Keeping both would let catch-up's report of the
+        // lost decree requeue the batch while the newer decree can still
+        // choose it — one batch winning two decrees.
+        std::erase_if(openProposals_, [proposal](const auto& entry) {
+          return entry.second == proposal;
+        });
+        openProposals_[decree] = proposal;
         break;
       }
       case kRecCommit: {
@@ -233,6 +245,7 @@ void SvcNode::recoverFromJournal() {
     }
   }
   commitIndex_ = decreeLog_.size();
+  decided_.advanceTo(commitIndex_);
   firstUndecided_ = commitIndex_;
   // Minted commands that never made it into a batch go back to pending;
   // formed batches whose decree outcome is unknown stay parked in
@@ -274,7 +287,7 @@ void SvcNode::handleArrivals() {
     (void)arrival;  // client/key shape the draw; the command is the unit
     const Value cmd = mintCommand();
     pendingCmds_.push_back(cmd);
-    arrivalTick_[cmd] = now;
+    arrivalTick_.put(commandSeq(cmd), now);
     const std::uint64_t record[] = {kRecCmd, enc(cmd)};
     persist(record);
   }
@@ -300,18 +313,15 @@ Value SvcNode::takeProposal(std::uint64_t decree) {
     // Nothing of our own: echo the batch an announce bound to this decree,
     // if any — joining with the owner's proposal instead of a no-op is
     // what lets a lone proposer win against reactive joiners.
-    const auto bound = announcedBinding_.find(decree);
-    if (bound != announcedBinding_.end() &&
-        !committedBatches_.contains(bound->second) &&
-        batchStore_.contains(bound->second)) {
-      return bound->second;
+    const Value bound = announcedBinding_.get(decree);
+    if (bound != kNoValue && !committedBatches_.contains(bound) &&
+        batchStore_.contains(bound)) {
+      return bound;
     }
     return kNoopBatch;
   }
   ++batchSeq_;
-  const std::uint32_t seq =
-      (static_cast<std::uint32_t>(recoveries_ & 0xFF) << 24) | batchSeq_;
-  const Value id = makeBatchId(ctx().self(), seq);
+  const Value id = makeBatchId(ctx().self(), incarnationBits() | batchSeq_);
   std::vector<Value> cmds(pendingCmds_.begin(),
                           pendingCmds_.begin() +
                               static_cast<std::ptrdiff_t>(take));
@@ -407,9 +417,9 @@ void SvcNode::onDecreeDecided(std::uint64_t decree, Value winner) {
 
 void SvcNode::recordDecided(std::uint64_t decree, Value winner) {
   if (decree < commitIndex_) return;  // already applied
-  if (!decided_.emplace(decree, winner).second) return;  // already known
+  if (!decided_.put(decree, winner)) return;  // already known
   OOC_TRACE("svc p", ctx().self(), " decree ", decree, " -> ", winner);
-  announcedBinding_.erase(decree);
+  announcedBinding_.take(decree);
   // If our batch lost this decree, it fights again in a later one. (It can
   // never win two: re-proposal happens strictly after the loss is known.)
   const auto mine = openProposals_.find(decree);
@@ -418,22 +428,20 @@ void SvcNode::recordDecided(std::uint64_t decree, Value winner) {
       unassigned_.push_back(mine->second);
     openProposals_.erase(mine);
   }
-  while (decided_.contains(firstUndecided_)) ++firstUndecided_;
+  while (decided_.get(firstUndecided_) != kNoValue) ++firstUndecided_;
 }
 
 void SvcNode::applyReady() {
   bool progressed = false;
   for (;;) {
-    const auto it = decided_.find(commitIndex_);
-    if (it == decided_.end()) break;
-    const Value batch = it->second;
+    const Value batch = decided_.get(commitIndex_);
+    if (batch == kNoValue) break;
     const auto payload =
         batch == kNoopBatch ? batchStore_.end() : batchStore_.find(batch);
     if (batch != kNoopBatch && payload == batchStore_.end()) {
       requestMissingBatch(batch);  // head-of-line blocked on the payload
       break;
     }
-    decided_.erase(it);
     const Tick now = ctx().now();
     decreeLog_.push_back(batch);
     commitTicks_.push_back(now);
@@ -452,16 +460,17 @@ void SvcNode::applyReady() {
         }
         applied_.push_back(cmd);
         if (commandNode(cmd) == ctx().self()) {
-          const auto arrived = arrivalTick_.find(cmd);
-          if (arrived != arrivalTick_.end()) {
-            latencies_.push_back(now - arrived->second);
-            arrivalTick_.erase(arrived);
+          const Tick arrived = arrivalTick_.take(commandSeq(cmd));
+          if (arrived != kNoArrival) {
+            latencies_.push_back(now - arrived);
+            arrivalTick_.dropEmptyFront();
           }
           workload_.onCommit(now);  // closed-loop client thinks, re-arrives
         }
       }
     }
     ++commitIndex_;
+    decided_.advanceTo(commitIndex_);
     firstUndecided_ = std::max(firstUndecided_, commitIndex_);
     progressed = true;
   }
@@ -574,8 +583,8 @@ void SvcNode::onMessage(ProcessId from, const Message& message) {
     if (announce->bindingDecree() != kNoBinding &&
         announce->bindingDecree() >= nextOpen_ &&
         announce->bindingDecree() >= quarantine_ && !recovering_) {
-      announcedBinding_.emplace(announce->bindingDecree(),
-                                announce->batchId());
+      announcedBinding_.advanceTo(nextOpen_);
+      announcedBinding_.put(announce->bindingDecree(), announce->batchId());
     }
     applyReady();  // may unblock a head-of-line fetch
     return;
@@ -639,10 +648,6 @@ void SvcNode::onTick(Tick tick) {
   for (std::uint64_t decree = tableBase_; decree < end; ++decree) {
     if (Process* engine = engineFor(decree)) engine->onTick(tick);
   }
-}
-
-std::uint64_t SvcNode::inFlight() const noexcept {
-  return arrivalTick_.size();
 }
 
 }  // namespace ooc::svc

@@ -76,6 +76,7 @@
 #include "svc/messages.hpp"
 #include "svc/workload.hpp"
 #include "util/flat_value_set.hpp"
+#include "util/sliding_slots.hpp"
 
 namespace ooc::svc {
 
@@ -182,9 +183,6 @@ class SvcNode final : public Process {
   std::uint64_t recoveries() const noexcept { return recoveries_; }
   const Workload& workload() const noexcept { return workload_; }
   const store::WriteAheadLog* wal() const noexcept { return wal_.get(); }
-  /// Commands minted but not yet applied here (in a pending queue, an
-  /// unassigned batch, or an in-flight decree).
-  std::uint64_t inFlight() const noexcept;
 
  private:
   class DecreeContextImpl;
@@ -201,6 +199,9 @@ class SvcNode final : public Process {
     kRecCommit = 4,  ///< {tag, decree, batchId, n, commands...}
   };
 
+  /// No arrival tick recorded (an empty arrivalTick_ slot).
+  static constexpr Tick kNoArrival = ~Tick{0};
+
   static std::uint64_t enc(Value v) noexcept {
     return static_cast<std::uint64_t>(v);
   }
@@ -215,6 +216,12 @@ class SvcNode final : public Process {
                            std::span<const Value> cmds);
   void recoverFromJournal();
 
+  /// The incarnation's high byte of every command and batch sequence
+  /// number, so ids never collide across restarts (a non-durable restart
+  /// forgets the counters).
+  std::uint32_t incarnationBits() const noexcept {
+    return static_cast<std::uint32_t>(recoveries_ & 0xFF) << 24;
+  }
   Value mintCommand();
   void handleArrivals();
   void armArrivalTimer();
@@ -253,8 +260,10 @@ class SvcNode final : public Process {
   std::uint32_t cmdSeq_ = 0;    ///< per-incarnation (see mintCommand)
   std::uint32_t batchSeq_ = 0;  ///< per-incarnation
   std::deque<Value> pendingCmds_;
-  /// Own command -> arrival tick, for latency accounting (volatile).
-  std::unordered_map<Value, Tick> arrivalTick_;
+  /// Arrival tick of each own command this incarnation minted, keyed by
+  /// its sequence number and emptied at apply, for latency accounting
+  /// (volatile: recovered commands carry no arrival tick).
+  SlidingSlots<Tick, kNoArrival> arrivalTick_;
   /// Formed batches awaiting (re-)proposal.
   std::deque<Value> unassigned_;
   /// Batch id -> payload; retained after apply to serve fetch/catch-up.
@@ -274,8 +283,9 @@ class SvcNode final : public Process {
   /// Armed engine timers as (timer id, decree), sorted by id. The
   /// simulator's timer ids only increase, so arming one appends.
   std::vector<std::pair<TimerId, std::uint64_t>> timerDecree_;
-  /// Decided but not yet applied (applies are strictly in decree order).
-  std::map<std::uint64_t, Value> decided_;
+  /// Decided but not yet applied (applies are strictly in decree order):
+  /// the window starts at commitIndex_.
+  SlidingSlots<Value, kNoValue> decided_;
   /// Decree -> the OWN batch this node proposed there; consumed when the
   /// outcome is known (requeued on loss). Survives restarts via kRecOpen.
   /// Echoed foreign batches never enter: requeueing one would bind it to
@@ -283,8 +293,9 @@ class SvcNode final : public Process {
   std::map<std::uint64_t, Value> openProposals_;
   /// Decree -> batch an announce bound to it (first binding wins); a node
   /// opening the decree with no work of its own echoes this instead of a
-  /// no-op. Volatile: after a restart the echo is simply unavailable.
-  std::map<std::uint64_t, Value> announcedBinding_;
+  /// no-op. Only decrees from nextOpen_ on are ever read, so the window
+  /// slides up to it. Volatile: after a restart the echo is unavailable.
+  SlidingSlots<Value, kNoValue> announcedBinding_;
   std::uint64_t firstUndecided_ = 0;
   std::uint64_t nextOpen_ = 0;
   std::uint64_t commitIndex_ = 0;  ///< next decree to apply

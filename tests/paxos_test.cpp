@@ -1,12 +1,14 @@
 // Single-decree Paxos tests: safety/liveness sweeps, duelling proposers,
-// crash faults, the choose-highest-accepted rule, and the framework
-// instrumentation (vacillate/adopt/commit + retry-as-reconciliator).
+// crash faults, the choose-highest-accepted rule, the framework
+// instrumentation (vacillate/adopt/commit + retry-as-reconciliator), and
+// Ω mode (safety and termination under wrong or noisy leader oracles).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
 #include <vector>
 
+#include "fd/oracle.hpp"
 #include "paxos/paxos_node.hpp"
 #include "sim/simulator.hpp"
 
@@ -190,6 +192,79 @@ TEST(Paxos, ChoosesHighestAcceptedValueNotItsOwn) {
       << "winner never varied; contention machinery untested";
 }
 
+// --- Ω mode: the oracle picks the proposer, safety never rests on it -------
+
+/// The worst leader oracle: every node trusts itself, so every value
+/// holder ballots at once and Ω mode degenerates to duelling proposers.
+class SelfTrustOracle final : public fd::Oracle {
+ public:
+  fd::OracleClass oracleClass() const noexcept override {
+    return fd::OracleClass::kOmega;
+  }
+  bool suspects(ProcessId viewer, ProcessId target, Tick) const override {
+    return viewer != target;
+  }
+  ProcessId leader(ProcessId viewer, Tick) const override { return viewer; }
+  Tick stabilizationBound() const noexcept override { return 0; }
+};
+
+TEST(PaxosOmega, StableLeaderRunsTheOnlyBallot) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    paxos::PaxosConfig config;
+    config.omega = fd::makeScheduleOracle(
+        fd::OracleClass::kOmega, {}, fd::FaultSchedule(5), seed);
+    const PaxosRun run = runPaxos(5, 600 + seed, config);
+    EXPECT_TRUE(run.allDecided) << "seed " << seed;
+    EXPECT_FALSE(run.agreementViolated) << "seed " << seed;
+    EXPECT_EQ(run.decidedValue, 100) << "seed " << seed;  // node 0's input
+    EXPECT_EQ(run.ballots, 1u) << "seed " << seed;
+  }
+}
+
+TEST(PaxosOmega, EveryNodeTrustingItselfStillAgrees) {
+  paxos::PaxosConfig config;
+  config.retryMin = 20;
+  config.retryMax = 30;
+  config.omega = std::make_shared<SelfTrustOracle>();
+  for (const std::size_t n : {3u, 5u}) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      const PaxosRun run = runPaxos(n, 700 + seed, config);
+      EXPECT_TRUE(run.allDecided) << "n=" << n << " seed " << seed;
+      EXPECT_FALSE(run.agreementViolated) << "n=" << n << " seed " << seed;
+      EXPECT_FALSE(run.validityViolated) << "n=" << n << " seed " << seed;
+      EXPECT_GE(run.ballots, n) << "every node ballots at once";
+    }
+  }
+}
+
+// Before stabilizeAt the nodes disagree about the leader (half the
+// suspicions are false), forwards reach nodes that do not lead, and the
+// leader Ω settles on may crash: agreement must hold and every correct
+// node must still decide, through the forwarders' fallback ballots.
+TEST(PaxosOmega, NoisyLateOracleStillAgrees) {
+  for (const fd::OracleClass oracleClass :
+       {fd::OracleClass::kEventuallyStrong, fd::OracleClass::kOmega}) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      SCOPED_TRACE(std::string(fd::toString(oracleClass)) + " seed " +
+                   std::to_string(seed));
+      std::vector<std::pair<ProcessId, Tick>> crashes;
+      if (seed % 2 == 0) crashes.emplace_back(0, 40);
+      fd::OracleKnobs knobs;
+      knobs.stabilizeAt = 1500;
+      knobs.noise = 0.5;
+      paxos::PaxosConfig config;
+      config.omega = fd::makeScheduleOracle(
+          oracleClass, knobs, fd::FaultSchedule::fromCrashList(5, crashes),
+          seed);
+      const PaxosRun run = runPaxos(5, 800 + seed, config, crashes);
+      EXPECT_TRUE(run.allDecided);
+      EXPECT_FALSE(run.agreementViolated);
+      EXPECT_FALSE(run.validityViolated);
+      EXPECT_TRUE(run.confidenceOrderOk);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Acceptor/proposer rule unit tests via a manual context.
 
@@ -313,6 +388,41 @@ TEST(PaxosUnit, DecidedAnnounceShortCircuits) {
   // Re-announce must not double-decide.
   bench.node.onMessage(3, paxos::DecidedAnnounce(123));
   EXPECT_EQ(bench.ctx.decisions.size(), 1u);
+}
+
+// Ω mode roles: a value holder that does not lead forwards instead of
+// balloting; a leader holding no value ballots for the first forward and
+// ignores later ones.
+TEST(PaxosUnit, OmegaFollowerForwardsAndLeaderBallotsOnForward) {
+  paxos::PaxosConfig config;
+  config.omega = fd::makeScheduleOracle(fd::OracleClass::kOmega, {},
+                                        fd::FaultSchedule(5), 1);
+  PaxosManualContext followerCtx(5, /*self=*/2);
+  paxos::PaxosNode follower(500, config);
+  follower.bind(followerCtx);
+  follower.onStart();
+  const auto* forward = followerCtx.lastTo<paxos::Forward>(0);
+  ASSERT_NE(forward, nullptr);
+  EXPECT_EQ(forward->value, 500);
+  EXPECT_EQ(follower.ballotsStarted(), 0u);
+
+  config.hasValue = false;
+  config.propose = false;
+  PaxosManualContext leaderCtx(5, /*self=*/0);
+  paxos::PaxosNode leader(0, config);
+  leader.bind(leaderCtx);
+  leader.onStart();
+  EXPECT_EQ(leader.ballotsStarted(), 0u);
+  leader.onMessage(2, paxos::Forward(500));
+  leader.onMessage(3, paxos::Forward(600));
+  EXPECT_EQ(leader.ballotsStarted(), 1u);
+  const auto* prepare = leaderCtx.lastTo<paxos::Prepare>(1);
+  ASSERT_NE(prepare, nullptr);
+  for (const ProcessId from : {0u, 1u, 2u})
+    leader.onMessage(from, paxos::Promise(prepare->ballot, 0, kNoValue));
+  const auto* accept = leaderCtx.lastTo<paxos::Accept>(1);
+  ASSERT_NE(accept, nullptr);
+  EXPECT_EQ(accept->value, 500);
 }
 
 TEST(PaxosUnit, NackAbandonsBallotAndJumpsAttempt) {

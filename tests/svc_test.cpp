@@ -24,6 +24,29 @@
 namespace ooc::svc {
 namespace {
 
+/// perfbench's svc shape at the latency rung: n = 5, delay 1..6, window 4,
+/// batch <= 4, durable journals, 200 open-loop zipfian commands per node.
+SvcConfig benchShape(const std::string& engine, std::uint64_t seed,
+                     double rate = 0.05) {
+  SvcConfig config;
+  config.engine = engine;
+  config.detector = "benor-vac";
+  config.driver = "lottery";
+  config.n = 5;
+  config.seed = seed;
+  config.minDelay = 1;
+  config.maxDelay = 6;
+  config.service.window = 4;
+  config.service.batchMax = 4;
+  config.service.durable = true;
+  config.workload.clients = 100000;
+  config.workload.commandsPerNode = 200;
+  config.workload.closedLoop = false;
+  config.workload.arrivalsPerTick = rate;
+  config.workload.zipfTheta = 0.99;
+  return config;
+}
+
 SvcConfig smokeConfig(const std::string& engine) {
   SvcConfig config;
   config.engine = engine;
@@ -150,6 +173,31 @@ TEST(Svc, DurableRestartCatchesUp) {
   }
 }
 
+// Regression: a batch that lost decree k1 and was re-bound to k2 before a
+// crash has two journaled opens. Recovery once kept both bindings, so
+// catch-up's report that k1 went to another batch re-queued this one while
+// k2 could still choose it, and the batch won two decrees (the apply-side
+// dedup hid the duplicate commands; the decree log did not). Seed 19 of
+// the failover shape hit it with the composed engine, and so did the
+// shrunk counterexample of `check --family svc --engine compose
+// --strategy restart`.
+TEST(Svc, RebindingBeforeARestartWinsOneDecree) {
+  SvcConfig failover = benchShape("compose", /*seed=*/19);
+  failover.restarts.push_back({0, 2000, 150});
+  const SvcConfig shrunk = parseSvcConfig(
+      "engine=compose\nn=5\nseed=1\nwindow=2\nbatch-max=1\n"
+      "max-decrees=400\ndurable=1\nclients=64\ncommands-per-node=25\n"
+      "closed-loop=0\nthink-min=5\nthink-max=40\nstart-spread=16\n"
+      "arrivals-per-tick=0.05\nmin-delay=1\nmax-delay=10\n"
+      "restart=1@1900+37\n");
+  for (const SvcConfig& config : {failover, shrunk}) {
+    const SvcResult result = runSvc(config);
+    EXPECT_TRUE(result.prefixOk);
+    EXPECT_TRUE(result.exactlyOnce);
+    EXPECT_EQ(result.duplicatesSuppressed, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The sequential replicated log: the service with window = 1 and
 // batchMax = 1 decides one command per decree, strictly in order (the E16
@@ -157,8 +205,9 @@ TEST(Svc, DurableRestartCatchesUp) {
 // arriving in the first ticks of the run). These tests build the cluster
 // from SvcNode directly, hosting the engine runSvc builds for
 // engine=compose, so they can compare every node's logs and read the tick
-// at which the run went quiet. There is no stop predicate: a run that
-// ends below the tick cap quiesced on its own.
+// at which the run went quiet (engine=paxos hosts runSvc's Ω-led Paxos
+// engine instead). There is no stop predicate: a run that ends below the
+// tick cap quiesced on its own.
 
 SvcConfig sequentialLog(std::size_t n, std::uint64_t commandsPerNode,
                         std::uint64_t seed) {
@@ -182,6 +231,7 @@ SvcConfig sequentialLog(std::size_t n, std::uint64_t commandsPerNode,
 struct LogRun {
   std::vector<std::vector<Value>> applied;  ///< per node, commands only
   std::vector<std::vector<Value>> decrees;  ///< per node, no-ops included
+  std::vector<std::uint64_t> emitted;       ///< per node, commands minted
   Tick endTick = 0;
   bool hitCap = false;
 };
@@ -195,7 +245,9 @@ LogRun runLog(const SvcConfig& config) {
   net.minDelay = config.minDelay;
   net.maxDelay = config.maxDelay;
   Simulator sim(simConfig, std::make_unique<UniformDelayNetwork>(net));
-  const EngineFactory engine = composeEngineFactory(config);
+  const EngineFactory engine = config.engine == "paxos"
+                                   ? paxosEngineFactory(config)
+                                   : composeEngineFactory(config);
   std::vector<SvcNode*> nodes;
   for (ProcessId id = 0; id < config.n; ++id) {
     auto node = std::make_unique<SvcNode>(engine, config.workload, config.n,
@@ -212,6 +264,7 @@ LogRun runLog(const SvcConfig& config) {
   for (const SvcNode* node : nodes) {
     run.applied.push_back(node->applied());
     run.decrees.push_back(node->decreeLog());
+    run.emitted.push_back(node->workload().emitted());
   }
   run.endTick = sim.now();
   run.hitCap = sim.hitCap();
@@ -383,6 +436,33 @@ TEST(ReplicatedLog, SurvivesMinorityCrashes) {
     EXPECT_EQ(commandsFrom(reference, survivor), 4u) << survivor;
 }
 
+// Safety must not rest on Ω: permanently crashing node 0 — the leader Ω
+// trusts first — mid-emission leaves forwards unanswered until the oracle
+// suspects it and the forwarders fall back. The logs must still agree,
+// win no batch twice, and commit every command of the four survivors.
+TEST(ReplicatedLog, OmegaLeaderCrashCostsOnlyTime) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SvcConfig config = benchShape("paxos", seed);
+    config.crashes = {{0, 2000}};
+    const LogRun run = runLog(config);
+    ASSERT_FALSE(run.hitCap);
+    const auto& reference = run.applied[1];
+    std::vector<Value> batches;
+    for (const Value batch : run.decrees[1])
+      if (batch != kNoopBatch) batches.push_back(batch);
+    EXPECT_TRUE(allDistinct(batches));
+    EXPECT_TRUE(allDistinct(reference));
+    EXPECT_TRUE(isPrefix(run.decrees[0], run.decrees[1]));
+    EXPECT_TRUE(isPrefix(run.applied[0], reference));
+    for (ProcessId survivor = 1; survivor < 5; ++survivor) {
+      EXPECT_EQ(run.decrees[survivor], run.decrees[1]) << survivor;
+      EXPECT_EQ(commandsFrom(reference, survivor), run.emitted[survivor])
+          << survivor;
+    }
+  }
+}
+
 // Command ids pack (home node, sequence) and round-trip; 0 is the reserved
 // no-op, never minted; batch ids stay disjoint from command ids.
 TEST(ReplicatedLog, CommandPacking) {
@@ -525,14 +605,14 @@ TEST(Svc, RaftMessagesPerCommandFlatUnderOverload) {
 }
 
 // The schedules are pinned: a change to the service host's bookkeeping
-// (decree table, batch store, dedup sets, journal encoding) must leave
-// every run's event count, message bill and commit record as it was. The
-// expected rows were recorded from the build before the host's decree
-// table, shared batch payloads and flat dedup sets went in. The shape is
-// perfbench's svc-steady (n=5, delay 1..6, window 4, batch <= 4, durable
-// journals, open-loop zipfian load at theta=0.99) at 0.05 and 0.2
-// arrivals/tick/node, plus one crash-restart of node 0 at tick 2000 for
-// 150 ticks at 0.05.
+// (decree table, batch store, dedup sets, per-decree and per-command
+// maps, journal encoding) must leave every run's event count, message
+// bill and commit record as it was. The raft and compose rows were
+// recorded from the build before the host's decree table, shared batch
+// payloads and flat dedup sets went in; the paxos rows from the first
+// build with Ω-led proposer selection. The shape is perfbench's svc-steady
+// (benchShape) at 0.05 and 0.2 arrivals/tick/node, plus one crash-restart
+// of node 0 at tick 2000 for 150 ticks at 0.05.
 TEST(Svc, EngineResultsPinned) {
   struct Pinned {
     std::string engine;
@@ -564,11 +644,9 @@ TEST(Svc, EngineResultsPinned) {
       {"raft", 0.05, false, 26839, 18657, 995, 995, 995, 0, 0, 16720, true},
       {"raft", 0.2, false, 20726, 15624, 1000, 1000, 1000, 0, 0, 36891, true},
       {"raft", 0.05, true, 26655, 18566, 995, 995, 995, 0, 0, 14361, true},
-      {"paxos", 0.05, false, 131741, 122489, 1000, 1000, 612, 0, 0, 255768,
-       true},
-      {"paxos", 0.2, false, 63539, 58556, 1000, 1000, 304, 0, 0, 661611, true},
-      {"paxos", 0.05, true, 129005, 119906, 1000, 1000, 611, 0, 0, 219093,
-       true},
+      {"paxos", 0.05, false, 92249, 86376, 1000, 1000, 999, 0, 0, 45500, true},
+      {"paxos", 0.2, false, 39068, 36104, 1000, 1000, 393, 0, 0, 276733, true},
+      {"paxos", 0.05, true, 90955, 84645, 1000, 1000, 982, 0, 0, 46415, true},
       {"compose", 0.05, false, 194868, 193863, 1000, 1000, 576, 29, 0, 177513,
        true},
       {"compose", 0.2, false, 92698, 91693, 1000, 1000, 273, 5, 0, 565327,
@@ -577,22 +655,7 @@ TEST(Svc, EngineResultsPinned) {
        true},
   };
   for (const Pinned& pin : expected) {
-    SvcConfig config;
-    config.engine = pin.engine;
-    config.detector = "benor-vac";
-    config.driver = "lottery";
-    config.n = 5;
-    config.seed = 1;
-    config.minDelay = 1;
-    config.maxDelay = 6;
-    config.service.window = 4;
-    config.service.batchMax = 4;
-    config.service.durable = true;
-    config.workload.clients = 100000;
-    config.workload.commandsPerNode = 200;
-    config.workload.closedLoop = false;
-    config.workload.arrivalsPerTick = pin.rate;
-    config.workload.zipfTheta = 0.99;
+    SvcConfig config = benchShape(pin.engine, /*seed=*/1, pin.rate);
     if (pin.failover) config.restarts.push_back({0, 2000, 150});
     const SvcResult result = runSvc(config);
     Pinned actual{pin.engine, pin.rate, pin.failover};

@@ -9,6 +9,7 @@
 #include "util/flat_value_set.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "util/sliding_slots.hpp"
 #include "util/stats.hpp"
 
 namespace ooc {
@@ -269,6 +270,49 @@ TEST(FlatValueSet, ClearEmptiesTheSetForReuse) {
   EXPECT_TRUE(set.insert(0));
   EXPECT_TRUE(set.insert(42));
   EXPECT_EQ(set.size(), 2u);
+}
+
+// SlidingSlots: the per-decree and per-command windows on the svc path.
+TEST(SlidingSlots, FirstValueWinsInsideTheWindow) {
+  SlidingSlots<Value, kNoValue> slots;
+  EXPECT_EQ(slots.get(3), kNoValue);
+  EXPECT_TRUE(slots.put(3, 0));  // 0 is an ordinary value
+  EXPECT_FALSE(slots.put(3, 7));
+  EXPECT_EQ(slots.get(3), 0);
+  EXPECT_EQ(slots.get(2), kNoValue);  // gap slots read as empty
+  EXPECT_EQ(slots.take(3), 0);
+  EXPECT_EQ(slots.get(3), kNoValue);
+  EXPECT_TRUE(slots.put(3, 7));  // an emptied slot refills
+  EXPECT_EQ(slots.take(99), kNoValue);
+}
+
+TEST(SlidingSlots, SlotsBelowTheWindowAreGone) {
+  SlidingSlots<Value, kNoValue> slots;
+  for (Value k = 0; k < 100; ++k) EXPECT_TRUE(slots.put(k, k + 1));
+  slots.advanceTo(40);
+  EXPECT_EQ(slots.get(39), kNoValue);
+  EXPECT_FALSE(slots.put(39, 1));
+  EXPECT_EQ(slots.get(40), 41);
+  EXPECT_EQ(slots.get(99), 100);
+  slots.advanceTo(500);  // past the last slot: the window starts over there
+  EXPECT_EQ(slots.get(99), kNoValue);
+  EXPECT_FALSE(slots.put(499, 1));
+  EXPECT_TRUE(slots.put(500, 1));
+  slots.clear();
+  EXPECT_TRUE(slots.put(0, 2));
+}
+
+TEST(SlidingSlots, DropEmptyFrontStopsAtTheFirstFullSlot) {
+  SlidingSlots<Tick, ~Tick{0}> slots;
+  for (std::uint64_t k = 1; k <= 4; ++k) slots.put(k, 10 * k);
+  slots.take(2);
+  slots.dropEmptyFront();  // slot 0 was never filled
+  EXPECT_EQ(slots.get(1), 10u);
+  slots.take(1);
+  slots.dropEmptyFront();  // drops 1 and the emptied 2
+  EXPECT_FALSE(slots.put(2, 5));
+  EXPECT_EQ(slots.get(3), 30u);
+  EXPECT_EQ(slots.get(4), 40u);
 }
 
 }  // namespace

@@ -269,8 +269,10 @@ std::unique_ptr<ExplorationStrategy> buildStrategy(
     cs.maxCrashes = options.maxCrashes;
     parts.push_back(std::make_unique<CrashScheduleStrategy>(base, cs));
   }
-  if (wantRestart && family == Family::kRaft) {
-    RestartScheduleStrategy::Options rs;
+  if (wantRestart && (family == Family::kRaft || family == Family::kSvc)) {
+    RestartScheduleStrategy::Options rs =
+        family == Family::kSvc ? RestartScheduleStrategy::Options::svc()
+                               : RestartScheduleStrategy::Options{};
     rs.maxRestarts = options.maxRestarts;
     rs.seedBase = options.seedBase;
     parts.push_back(std::make_unique<RestartScheduleStrategy>(base, rs));
@@ -444,8 +446,9 @@ int main(int argc, char** argv) {
     std::cerr << "check: --crash-before-sync needs --family raft\n";
     return 2;
   }
-  if (options.strategy == "restart" && options.family != "raft") {
-    std::cerr << "check: --strategy restart needs --family raft\n";
+  if (options.strategy == "restart" && options.family != "raft" &&
+      options.family != "svc") {
+    std::cerr << "check: --strategy restart needs --family raft or svc\n";
     return 2;
   }
   if (options.strategy == "oracle" && options.family != "fd") {
